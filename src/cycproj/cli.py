@@ -16,11 +16,11 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby
 
 from . import traceio
 from .engine import iterate, rate_fit, verdict
 from .scenarios import Scenario, build_scenario
-from .spaces import Plane, ProductSpace, TwistedChain
 from .verify import run_suite, suite_names
 
 EXIT_OK = 0
@@ -41,24 +41,29 @@ _RUN_DEFAULTS = {
 }
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Add the run options; returns those a config file may set, by key."""
     parser.add_argument("scenario", help="scenario name (see 'cycproj run --help')")
-    parser.add_argument("--n", type=int, default=None, help="number of cycles (default 100)")
-    parser.add_argument("--start", default=None, help="label of a recommended start point")
-    parser.add_argument("--start-coords", default=None,
-                        help="explicit start: plane 'x,y'; tree product "
-                             "'leg:off,leg:off'; chain 'u,v,height'")
-    parser.add_argument("--tol", type=float, default=None, help="projection tolerance")
-    parser.add_argument("--stride", type=int, default=None, help="point storage stride")
-    parser.add_argument("--out", default=None, help="output trace path")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="trace file format (default csv)")
-    parser.add_argument("--rate-window", type=int, nargs=2, metavar=("LO", "HI"),
-                        default=None, help="fit log r vs log n over this index window")
+    options = [
+        parser.add_argument("--n", type=int, default=None, help="number of cycles (default 100)"),
+        parser.add_argument("--start", default=None, help="label of a recommended start point"),
+        parser.add_argument("--start-coords", default=None,
+                            help="explicit start: plane 'x,y'; tree product "
+                                 "'leg:off,leg:off'; chain 'u,v,height'"),
+        parser.add_argument("--tol", type=float, default=None, help="projection tolerance"),
+        parser.add_argument("--stride", type=int, default=None, help="point storage stride"),
+        parser.add_argument("--out", default=None, help="output trace path"),
+        parser.add_argument("--format", choices=("csv", "json"), default=None,
+                            help="trace file format (default csv)"),
+        parser.add_argument("--rate-window", type=int, nargs=2, metavar=("LO", "HI"),
+                            default=None, help="fit log r vs log n over this index window"),
+    ]
     parser.add_argument("--config", default=None, help="key=value config file; flags win")
-    for name in ("epsilon", "alpha", "radius", "circumference", "theta"):
-        parser.add_argument(f"--{name}", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None, help="number of sets (tripod)")
+    options += [parser.add_argument(f"--{name}", type=float, default=None)
+                for name in ("epsilon", "alpha", "radius", "circumference", "theta")]
+    options.append(parser.add_argument("--k", type=int, default=None,
+                                       help="number of sets (tripod)"))
+    return {action.dest: action for action in options}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a scenario over a parameter grid")
     _add_run_options(p_sweep)
-    p_sweep.add_argument("--param", required=True,
+    p_sweep.add_argument("--param", required=True, choices=_SCENARIO_PARAMS,
                          help=f"swept parameter: one of {', '.join(_SCENARIO_PARAMS)}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated grid values (may be empty)")
@@ -109,64 +114,64 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_TYPES = {
-    "n": int,
-    "stride": int,
-    "k": int,
-    "tol": float,
-    "epsilon": float,
-    "alpha": float,
-    "radius": float,
-    "circumference": float,
-    "theta": float,
-    "start": str,
-    "start_coords": str,
-    "out": str,
-    "format": str,
-}
+def _config_value(action: argparse.Action, raw: str):
+    """Convert a config value as its flag would be: the action's type, nargs and choices."""
+    words = [raw] if action.nargs is None else raw.split()
+    if action.nargs is not None and len(words) != action.nargs:
+        raise ValueError(f"config key {action.dest!r} takes {action.nargs} values, got {raw!r}")
+    values = [(action.type or str)(word) for word in words]
+    for value in values:
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {action.dest!r}: invalid choice {value!r} "
+                             f"(choose from {', '.join(map(repr, action.choices))})")
+    return values[0] if action.nargs is None else values
 
 
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill options the flags left unset from the config file, then defaults."""
-    if getattr(args, "config", None):
+    if args.config:
+        options = _add_run_options(argparse.ArgumentParser())
         for key, raw in _read_config(args.config).items():
-            if key == "rate_window":
-                parsed = [int(v) for v in raw.split()]
-            elif key in _CONFIG_TYPES:
-                parsed = _CONFIG_TYPES[key](raw)
-            else:
+            if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, key, None) is None:
-                setattr(args, key, parsed)
+            value = _config_value(options[key], raw)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     for key, default in _RUN_DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, default)
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    params = {}
-    for name in _SCENARIO_PARAMS:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return build_scenario(args.scenario, **params)
+def _parse_coords(space, text: str):
+    """Decode ``--start-coords``: the space's ``coord_names`` in order, joined
+    by ':' within one product factor (names sharing the prefix before '_')
+    and by ',' otherwise, so 'x,y', 'leg:off,leg:off' and 'u,v,height'."""
+    groups = [part.split(":") for part in text.split(",")]
+    form = [list(names) for _, names in groupby(space.coord_names, lambda n: n.split("_")[0])]
+    if [len(g) for g in groups] != [len(g) for g in form]:
+        expected = ",".join(":".join(names) for names in form)
+        raise ValueError(f"--start-coords {text!r} does not have the form {expected!r}")
+    return space.from_coords([float(v) for g in groups for v in g])
 
 
-def _parse_start_coords(space, text: str):
-    parts = [p.strip() for p in text.split(",")]
-    if isinstance(space, Plane):
-        x, y = (float(p) for p in parts)
-        return space.point(x, y)
-    if isinstance(space, ProductSpace):
-        (l_leg, l_off), (r_leg, r_off) = (p.split(":") for p in parts)
-        return space.point(
-            space.left.point(int(l_leg), float(l_off)),
-            space.right.point(int(r_leg), float(r_off)),
-        )
-    if isinstance(space, TwistedChain):
-        u, v, h = (float(p) for p in parts)
-        return space.point(u, v, h)
-    raise ValueError(f"no coordinate parser for {type(space).__name__}")
+def _scenario_and_start(args: argparse.Namespace) -> tuple[Scenario, object, str]:
+    """Build the scenario from the parameter options and pick its start point.
+
+    Returns ``(scenario, start, label)``; the label is ``"explicit"`` for
+    ``--start-coords``.
+    """
+    params = {name: getattr(args, name) for name in _SCENARIO_PARAMS
+              if getattr(args, name) is not None}
+    scenario = build_scenario(args.scenario, **params)
+    if args.start_coords is not None:
+        return scenario, _parse_coords(scenario.space, args.start_coords), "explicit"
+    label = args.start or scenario.default_start
+    try:
+        return scenario, scenario.start(label), label
+    except KeyError:
+        raise ValueError(
+            f"unknown start {label!r}; available: {', '.join(scenario.starts)}"
+        ) from None
 
 
 def _out_path(args: argparse.Namespace, scenario: Scenario) -> str:
@@ -183,20 +188,7 @@ def _out_path(args: argparse.Namespace, scenario: Scenario) -> str:
 
 def _execute_run(args: argparse.Namespace):
     """Shared run/rate body; returns (exit_code, summary dict)."""
-    scenario = _scenario_from_args(args)
-    if args.start_coords is not None:
-        start = _parse_start_coords(scenario.space, args.start_coords)
-        start_label = "explicit"
-    else:
-        label = args.start or scenario.default_start
-        try:
-            start = scenario.start(label)
-        except KeyError:
-            raise ValueError(
-                f"unknown start {label!r}; available: {', '.join(scenario.starts)}"
-            ) from None
-        start_label = label
-
+    scenario, start, start_label = _scenario_and_start(args)
     trace = iterate(scenario.space, scenario.sets, start, args.n,
                     tol=args.tol, stride=args.stride)
     if trace.completed == 0:
@@ -262,10 +254,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_worker(payload: tuple) -> dict:
-    index, scenario_name, params, n, tol, stride, start_label = payload
-    scenario = build_scenario(scenario_name, **params)
-    start = scenario.start(start_label) if start_label else scenario.start()
-    trace = iterate(scenario.space, scenario.sets, start, n, tol=tol, stride=stride)
+    index, args = payload
+    scenario, start, _ = _scenario_and_start(args)
+    trace = iterate(scenario.space, scenario.sets, start, args.n,
+                    tol=args.tol, stride=args.stride)
     v = verdict(trace)
     summary = traceio.summary_dict(trace, v, scenario=scenario.name,
                                    params=dict(scenario.params))
@@ -279,17 +271,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     caster = int if args.param == "k" else float
     grid = [caster(v) for v in values]
 
-    base_params = {}
-    for name in _SCENARIO_PARAMS:
-        value = getattr(args, name, None)
-        if value is not None:
-            base_params[name] = value
-
-    payloads = []
-    for i, value in enumerate(grid):
-        params = dict(base_params)
-        params[args.param] = value
-        payloads.append((i, args.scenario, params, args.n, args.tol, args.stride, args.start))
+    payloads = [(i, argparse.Namespace(**{**vars(args), args.param: value}))
+                for i, value in enumerate(grid)]
 
     results: list[dict | None] = [None] * len(payloads)
     errors = 0

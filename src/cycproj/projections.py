@@ -129,6 +129,28 @@ def _golden_iterations(tol: float) -> int:
     return math.ceil(math.log(1.0 / tol) / math.log(1.0 / _INVPHI))
 
 
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float, float]:
+    """Shrink ``[a, b]`` around a minimum of the unimodal ``f``.
+
+    The iteration count is fixed from ``tol`` for determinism.  Returns the
+    final bracket ``(a, b)`` and the values of ``f`` at its two interior
+    points.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_golden_iterations(tol)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return a, b, fc, fd
+
+
 def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> ProjectionResult:
     """Project x onto a geodesic segment by golden-section search.
 
@@ -148,19 +170,7 @@ def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> Proje
         d = space.distance(x, space.geodesic(start, end, t))
         return d * d
 
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_golden_iterations(tol)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    a, b, _, _ = _golden_section(f, 0.0, 1.0, tol)
     t_best = 0.5 * (a + b)
 
     h = _POLISH_STEP
@@ -524,13 +534,17 @@ def _segment_segment_tree_exact(space: ProductSpace, seg_a: Segment, seg_b: Segm
     return math.sqrt(max(0.0, best))
 
 
-def _default_param_grid(space, cset: ConvexSet, samples: int, span: float):
+_GRID_SAMPLES = 257
+
+
+def _default_param_grid(space, cset: ConvexSet, span: float):
     """Parameter grid and point constructor for sampling a set.
 
     Returns (params, make_point); params is None for sets without a usable
     1-D parametrization (cross discs), in which case a fixed point list is
     returned instead.
     """
+    samples = _GRID_SAMPLES
     if isinstance(cset, Segment):
         params = [i / (samples - 1) for i in range(samples)]
         return params, lambda t: space.geodesic(cset.start, cset.end, t)
@@ -555,16 +569,13 @@ def _default_param_grid(space, cset: ConvexSet, samples: int, span: float):
     raise TypeError(f"cannot sample {type(cset).__name__}")
 
 
-def set_distance(space, set_a: ConvexSet, set_b: ConvexSet, sampler=None,
-                 samples: int = 257, span: float = 1024.0) -> float:
+def set_distance(space, set_a: ConvexSet, set_b: ConvexSet, span: float = 1024.0) -> float:
     """Estimate (from above) the distance between two projectable sets.
 
     Every value d(a, P_B(a)) is an exact point-to-set distance, so the
     minimum over sampled points of A can only overestimate the true set
     distance; a golden-section refinement over A's parameter tightens it.
     Pairs of leg-confined tree segments are resolved in closed form instead.
-    ``sampler``, when given, must yield points of ``set_a`` and replaces the
-    built-in grid (no refinement is applied then).
     """
     if set_a == set_b:
         return 0.0
@@ -579,11 +590,7 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet, sampler=None,
     def gap(p) -> float:
         return project(space, set_b, p).distance
 
-    if sampler is not None:
-        points = list(sampler)
-        return min(gap(p) for p in points)
-
-    params, make = _default_param_grid(space, set_a, samples, span)
+    params, make = _default_param_grid(space, set_a, span)
     if params is None:
         return min(gap(p) for p in make)
 
@@ -592,18 +599,6 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet, sampler=None,
     best = gaps[best_idx]
 
     # golden-section refinement between the neighbors of the best sample
-    a = params[max(0, best_idx - 1)]
-    b = params[min(len(params) - 1, best_idx + 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = gap(make(c)), gap(make(d))
-    for _ in range(_golden_iterations(1e-10)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = gap(make(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = gap(make(d))
+    _, _, fc, fd = _golden_section(lambda u: gap(make(u)), params[max(0, best_idx - 1)],
+                                   params[min(len(params) - 1, best_idx + 1)], 1e-10)
     return min(best, fc, fd)

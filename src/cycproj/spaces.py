@@ -15,6 +15,11 @@ Four spaces are implemented:
 The first three spaces are CAT(0); every space object is immutable and all
 operations are pure functions, so values can be shared freely across
 threads or processes.
+
+Each space also owns its flat coordinate encoding, used by trace files and
+the command line: ``coord_names`` labels the coordinates, ``to_coords(p)``
+lists them and ``from_coords(values)`` rebuilds the point through the
+validating ``point()``.
 """
 
 from __future__ import annotations
@@ -70,8 +75,17 @@ class PlanePoint:
 class Plane:
     """The Euclidean plane with its usual metric and straight-line geodesics."""
 
+    coord_names = ("x", "y")
+
     def point(self, x: float, y: float) -> PlanePoint:
         return PlanePoint(float(x), float(y))
+
+    def to_coords(self, p: PlanePoint) -> tuple[float, float]:
+        return (p.x, p.y)
+
+    def from_coords(self, values) -> PlanePoint:
+        x, y = values
+        return self.point(x, y)
 
     def _check(self, p: PlanePoint) -> None:
         if not isinstance(p, PlanePoint):
@@ -150,10 +164,22 @@ class StarTree:
     def center(self) -> StarPoint:
         return StarPoint(0, 0.0)
 
+    coord_names = ("leg", "offset")
+
     def point(self, leg: int, offset: float) -> StarPoint:
+        """The point ``offset`` out along ``leg``, which must be integral (1.0 but not 0.7)."""
+        if not float(leg).is_integer():
+            raise ValueError(f"leg index must be an integer, got {leg!r}")
         p = StarPoint(int(leg), float(offset))
         self._check(p)
         return p
+
+    def to_coords(self, p: StarPoint) -> tuple[int, float]:
+        return (p.leg, p.offset)
+
+    def from_coords(self, values) -> StarPoint:
+        leg, offset = values
+        return self.point(leg, offset)
 
     def _check(self, p: StarPoint) -> None:
         if not isinstance(p, StarPoint):
@@ -211,6 +237,20 @@ class ProductSpace:
         p = ProductPoint(left, right)
         self._check(p)
         return p
+
+    @property
+    def coord_names(self) -> tuple[str, ...]:
+        """The factors' names, prefixed ``left_`` and ``right_``."""
+        return (tuple(f"left_{name}" for name in self.left.coord_names)
+                + tuple(f"right_{name}" for name in self.right.coord_names))
+
+    def to_coords(self, p: ProductPoint) -> tuple:
+        return self.left.to_coords(p.left) + self.right.to_coords(p.right)
+
+    def from_coords(self, values) -> ProductPoint:
+        k = len(self.left.coord_names)
+        return self.point(self.left.from_coords(values[:k]),
+                          self.right.from_coords(values[k:]))
 
     def _check(self, p: ProductPoint) -> None:
         if not isinstance(p, ProductPoint):
@@ -311,6 +351,8 @@ class TwistedChain:
                 f"consecutive discs would be ambiguous (gaps {gaps!r})"
             )
 
+    coord_names = ("u", "v", "height")
+
     def point(self, u: float, v: float, height: float) -> ChainPoint:
         """Quotient representative of raw cylinder coordinates.
 
@@ -336,6 +378,13 @@ class TwistedChain:
         p = ChainPoint(u, v, h)
         self._check(p)
         return p
+
+    def to_coords(self, p: ChainPoint) -> tuple[float, float, float]:
+        return (p.u, p.v, p.height)
+
+    def from_coords(self, values) -> ChainPoint:
+        u, v, height = values
+        return self.point(u, v, height)
 
     def _check(self, p: ChainPoint) -> None:
         if not isinstance(p, ChainPoint):

@@ -1,10 +1,10 @@
 """Trace export and import: CSV rows and JSON summaries.
 
 CSV layout is fixed for downstream plotting: columns ``n, r, s, a, b``
-followed by the flattened coordinates of x_n.  Scalars missing at an index
-(NaN diagnostics, steps past the end, decimated points) are written as
-empty fields.  Files are UTF-8 with a header row, '.' decimals, and
-LF line ends.
+followed by the coordinates of x_n, named by the space's ``coord_names``.
+Scalars missing at an index (NaN diagnostics, steps past the end, decimated
+points) are written as empty fields.  Files are UTF-8 with a header row,
+'.' decimals, and LF line ends.
 """
 
 from __future__ import annotations
@@ -12,55 +12,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Sequence
+from itertools import zip_longest
 
 import numpy as np
 
 from .engine import RegularityVerdict, Trace
-from .spaces import ChainPoint, Plane, PlanePoint, ProductPoint, ProductSpace, StarPoint, TwistedChain
 
 __all__ = [
-    "coordinate_headers",
-    "point_to_row",
-    "row_to_point",
     "write_trace_csv",
     "read_trace_csv",
     "summary_dict",
     "write_trace_json",
 ]
-
-
-def coordinate_headers(space) -> list[str]:
-    if isinstance(space, Plane):
-        return ["x", "y"]
-    if isinstance(space, ProductSpace):
-        return ["left_leg", "left_offset", "right_leg", "right_offset"]
-    if isinstance(space, TwistedChain):
-        return ["u", "v", "height"]
-    raise TypeError(f"no CSV coordinate layout for {type(space).__name__}")
-
-
-def point_to_row(space, point) -> list[float]:
-    if isinstance(space, Plane):
-        return [point.x, point.y]
-    if isinstance(space, ProductSpace):
-        return [point.left.leg, point.left.offset, point.right.leg, point.right.offset]
-    if isinstance(space, TwistedChain):
-        return [point.u, point.v, point.height]
-    raise TypeError(f"no CSV coordinate layout for {type(space).__name__}")
-
-
-def row_to_point(space, values: Sequence[float]):
-    if isinstance(space, Plane):
-        return PlanePoint(values[0], values[1])
-    if isinstance(space, ProductSpace):
-        return ProductPoint(
-            StarPoint(int(values[0]), values[1]),
-            StarPoint(int(values[2]), values[3]),
-        )
-    if isinstance(space, TwistedChain):
-        return ChainPoint(values[0], values[1], values[2])
-    raise TypeError(f"no CSV coordinate layout for {type(space).__name__}")
 
 
 def _fmt(value: float | None) -> str:
@@ -72,24 +35,16 @@ def _fmt(value: float | None) -> str:
 def write_trace_csv(trace: Trace, path) -> None:
     """One row per cycle index 0..completed; coords only where stored."""
     space = trace.space
-    headers = ["n", "r", "s", "a", "b"] + coordinate_headers(space)
     stored = {int(i): p for i, p in zip(trace.point_indices, trace.points)}
-    n = trace.completed
+    blank = [""] * len(space.coord_names)
+    scalars = [() if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(headers)
-        for i in range(n + 1):
-            r = trace.r[i] if i < n else None
-            s = trace.s[i] if trace.s is not None and i < len(trace.s) else None
-            a = trace.a[i] if trace.a is not None and i < len(trace.a) else None
-            b = trace.b[i] if trace.b is not None and i < len(trace.b) else None
-            row = [str(i), _fmt(r), _fmt(s), _fmt(a), _fmt(b)]
+        writer.writerow(["n", "r", "s", "a", "b", *space.coord_names])
+        for i, *values in zip_longest(range(trace.completed + 1), *scalars):
             point = stored.get(i)
-            if point is not None:
-                row.extend(_fmt(v) for v in point_to_row(space, point))
-            else:
-                row.extend("" for _ in headers[5:])
-            writer.writerow(row)
+            coords = blank if point is None else map(_fmt, space.to_coords(point))
+            writer.writerow([str(i), *map(_fmt, values), *coords])
 
 
 def read_trace_csv(path) -> dict[str, list]:
@@ -140,7 +95,7 @@ def write_trace_json(trace: Trace, summary: dict, path) -> None:
     payload = dict(summary)
     payload["trace"] = {
         "point_indices": [int(i) for i in trace.point_indices],
-        "points": [point_to_row(trace.space, p) for p in trace.points],
+        "points": [trace.space.to_coords(p) for p in trace.points],
         "r": _array_json(trace.r),
         "s": _array_json(trace.s),
         "a": _array_json(trace.a),

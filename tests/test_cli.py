@@ -9,7 +9,7 @@ import pytest
 
 from cycproj.cli import main
 from cycproj.scenarios import build_scenario
-from cycproj.traceio import read_trace_csv, row_to_point
+from cycproj.traceio import read_trace_csv
 
 
 def run_cli(*argv) -> int:
@@ -45,7 +45,7 @@ class TestRun:
         assert len(columns["n"]) == 201
         # recompute r from the stored points
         space = build_scenario("plane-two-sets", epsilon=0.5).space
-        points = [row_to_point(space, (x, y)) for x, y in zip(columns["x"], columns["y"])]
+        points = [space.from_coords((x, y)) for x, y in zip(columns["x"], columns["y"])]
         for i in range(200):
             r = space.distance(points[i], points[i + 1])
             assert abs(r - columns["r"][i]) <= 1e-9
@@ -73,6 +73,30 @@ class TestRun:
         assert code == 0
         assert "start=explicit" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scenario, text, coords", [
+        ("plane-two-sets", "2.0,0.5", [2.0, 0.5]),
+        ("tripod", "0:0.3,1:0.2", [0.0, 0.3, 1.0, 0.2]),
+        ("twisted-chain", "0.05,0.02,1.7", [0.05, 0.02, 1.7]),
+    ])
+    def test_start_coords_forms(self, tmp_path, scenario, text, coords):
+        out = tmp_path / "start.csv"
+        assert run_cli("run", scenario, "--n", "3", "--start-coords", text,
+                       "--out", str(out)) == 0
+        columns = read_trace_csv(out)
+        space = build_scenario(scenario).space
+        assert [columns[name][0] for name in space.coord_names] == coords
+
+    @pytest.mark.parametrize("scenario, text", [
+        ("plane-two-sets", "1,2,3"),        # wrong number of values
+        ("twisted-chain", "0.01,0.02"),
+        ("tripod", "0:0.3:0:0.2"),          # grouping that does not fit the space
+        ("tripod", "0.7:0.3,1:0.2"),        # non-integral leg
+        ("plane-two-sets", "a,b"),          # not a number
+    ])
+    def test_bad_start_coords_are_usage_errors(self, tmp_path, scenario, text):
+        assert run_cli("run", scenario, "--start-coords", text,
+                       "--out", str(tmp_path / "x.csv")) == 2
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         out = tmp_path / "fail.csv"
         code = run_cli("run", "plane-two-sets", "--n", "5",
@@ -99,6 +123,13 @@ class TestConfigFile:
         payload = json.loads(out.read_text())
         assert payload["n"] == 30  # flag wins over config
         assert payload["params"]["epsilon"] == 1.0  # config fills the gap
+
+    @pytest.mark.parametrize("line", ["format=xml", "n=abc"])
+    def test_config_values_are_validated_like_flags(self, tmp_path, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("run", "tripod", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv")) == 2
 
     def test_malformed_config(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -174,6 +205,16 @@ class TestSweep:
             expected = 2.0 * 0.1 * abs(math.sin(alpha / 2.0))
             assert entry["liminf_r"] == pytest.approx(expected, abs=1e-9)
             assert entry["verdict"] == "NotRegular"
+
+    def test_start_coords_apply_to_every_run(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.5",
+                       "--n", "50", "--start-coords", "7,0", "--out", str(out)) == 0
+        assert run_cli("run", "plane-two-sets", "--epsilon", "0.5", "--n", "50",
+                       "--start-coords", "7,0", "--format", "json",
+                       "--out", str(tmp_path / "run.json")) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert json.loads(out.read_text())[0]["final_r"] == run["final_r"]
 
     def test_failed_runs_recorded_and_exit_nonzero(self, tmp_path):
         out = tmp_path / "bad.json"

@@ -317,15 +317,6 @@ class TestSetDistance:
         assert gaps[0] > gaps[1] > gaps[2] > 1.0
         assert gaps[2] == pytest.approx(1.0, abs=1e-2)
 
-    def test_sampler_override(self, tripod):
-        c1, c2 = tripod.sets[0], tripod.sets[1]
-        space = tripod.space
-        mids = [space.geodesic(c1.start, c1.end, t) for t in (0.4, 0.5, 0.6)]
-        est = set_distance(space, c2, c1, sampler=None)  # exact branch
-        via_sampler = set_distance(space, c1, c2, sampler=mids)
-        assert via_sampler >= est - 1e-12
-        assert via_sampler == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
 
 class TestProjectionProperties:
     """Idempotence / nonexpansiveness / optimality spot checks (the full

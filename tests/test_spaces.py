@@ -96,6 +96,12 @@ class TestStarTree:
         with pytest.raises(ValueError):
             StarTree((1.0, 1.0))
 
+    def test_point_leg_must_be_integral(self, tree):
+        with pytest.raises(ValueError):
+            tree.point(0.7, 0.3)  # no leg 0.7, and not leg 0 either
+        assert tree.point(1.0, 0.3) == StarPoint(1, 0.3)  # as a CSV writes leg 1
+        assert tree.point(0.0, 0.3) == StarPoint(0, 0.3)
+
     @given(
         legs=st.tuples(*([st.floats(0.5, 2.0)] * 3)),
         picks=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),

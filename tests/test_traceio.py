@@ -7,15 +7,7 @@ import json
 import pytest
 
 from cycproj import build_scenario, iterate, verdict
-from cycproj.traceio import (
-    coordinate_headers,
-    point_to_row,
-    read_trace_csv,
-    row_to_point,
-    summary_dict,
-    write_trace_csv,
-    write_trace_json,
-)
+from cycproj.traceio import read_trace_csv, summary_dict, write_trace_csv, write_trace_json
 
 
 @pytest.mark.parametrize("name, params, expected_headers", [
@@ -25,12 +17,24 @@ from cycproj.traceio import (
 ])
 def test_point_row_roundtrip(name, params, expected_headers):
     scenario = build_scenario(name, **params)
-    assert coordinate_headers(scenario.space) == expected_headers
+    space = scenario.space
+    assert list(space.coord_names) == expected_headers
     start = scenario.start()
-    row = point_to_row(scenario.space, start)
+    row = space.to_coords(start)
     assert len(row) == len(expected_headers)
-    back = row_to_point(scenario.space, row)
-    assert scenario.space.distance(start, back) <= 1e-15
+    back = space.from_coords(row)
+    assert space.distance(start, back) <= 1e-15
+
+
+@pytest.mark.parametrize("name, values", [
+    ("tripod", [7.0, 0.3, 0.0, 0.2]),    # leg 7 of a 3-leg tree
+    ("tripod", [0.7, 0.3, 0.0, 0.2]),    # non-integral leg
+    ("tripod", [0.0, 1.5, 1.0, 0.2]),    # offset longer than its unit leg
+    ("twisted-chain", [0.2, 0.0, 1.0]),  # outside the disc of radius 0.1
+])
+def test_from_coords_rejects_points_off_the_space(name, values):
+    with pytest.raises(ValueError):
+        build_scenario(name).space.from_coords(values)
 
 
 @pytest.mark.parametrize("name", ["tripod", "twisted-chain"])
@@ -40,9 +44,8 @@ def test_csv_roundtrip_recomputes_steps(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     write_trace_csv(trace, path)
     columns = read_trace_csv(path)
-    coord_names = coordinate_headers(scenario.space)
     points = [
-        row_to_point(scenario.space, [columns[h][i] for h in coord_names])
+        scenario.space.from_coords([columns[h][i] for h in scenario.space.coord_names])
         for i in range(31)
     ]
     for i in range(30):
