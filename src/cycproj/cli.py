@@ -314,7 +314,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a bad flag (2)
+        return int(exc.code or 0)
     try:
         if args.command in ("run", "rate", "sweep"):
             _merge_config(args)

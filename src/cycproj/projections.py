@@ -8,7 +8,8 @@ records which code path produced the point:
 * ``exact_piecewise`` -- the certified projector for segments in products
   of star trees whose coordinates stay on a single leg per factor.
 * ``golden_section`` -- the generic 1-D search along a geodesic segment.
-* ``newton`` -- the bracketed Newton solve on the epigraph boundary.
+* ``newton`` -- the bracketed Newton solve on the epigraph boundary, for
+  the increment of the foot over the projected point's x.
 
 Projections onto closed convex subsets of a CAT(0) space are unique and
 nonexpanding; a tie detected anywhere is treated as a modeling error, never
@@ -293,17 +294,22 @@ def project_axis(x: PlanePoint) -> ProjectionResult:
 # Epigraph
 
 
-def _epigraph_stationarity(epsilon: float, x0: float, y0: float, u: float) -> tuple[float, float]:
-    """g(u) and g'(u) for the squared-distance stationarity condition.
+def _epigraph_stationarity(epsilon: float, x0: float, y0: float, base: float,
+                           d: float) -> tuple[float, float]:
+    """g and dg/dd at the boundary point u = base + d.
 
-    g(u) = (u - x0) - epsilon * u**(-epsilon-1) * (1 + u**(-epsilon) - y0)
-    is half the derivative of the squared distance from (x0, y0) to the
-    boundary point (u, 1 + u**(-epsilon)).
+    g(u) = (u - x0) - h(u), with h(u) = epsilon * u**(-epsilon-1) *
+    (1 + u**(-epsilon) - y0), is half the derivative of the squared distance
+    from (x0, y0) to the boundary point (u, 1 + u**(-epsilon)).  With
+    base = x0 the term u - x0 is the increment d itself, not a difference
+    of two nearby numbers.
     """
+    u = base + d
     e = u ** (-epsilon)
+    k = epsilon * e / u
     tail = 1.0 + e - y0
-    g = (u - x0) - epsilon * (e / u) * tail
-    gp = 1.0 + epsilon * (epsilon + 1.0) * (e / (u * u)) * tail + (epsilon * e / u) ** 2
+    g = (d - (x0 - base)) - k * tail
+    gp = 1.0 + (epsilon + 1.0) * (k / u) * tail + k * k
     return g, gp
 
 
@@ -311,34 +317,15 @@ _MAX_DOUBLINGS = 200
 _MAX_NEWTON = 200
 
 
-def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> ProjectionResult:
-    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
-
-    Points already in the set are returned unchanged.  Otherwise the foot is
-    the unique stationary point of the squared distance along the boundary:
-    outside points sit on the convex side of the boundary curve, so the
-    stationarity equation has a single root.  The root is bracketed by
-    geometric expansion from u = 1 and then solved by Newton steps in
-    log(u), falling back to bisection whenever a step leaves the bracket.
-    """
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not isinstance(x, PlanePoint):
-        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
-    x0, y0 = x.x, x.y
-    if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
-        return ProjectionResult(x, 0.0, "closed_form")
-
-    scale = max(1.0, abs(x0), abs(y0))
-    g1, _ = _epigraph_stationarity(epsilon, x0, y0, 1.0)
+def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, float]:
+    """[lo, hi] with g(lo) <= 0 <= g(hi), by doubling or halving from u = 1."""
+    g1, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, 1.0)
     lo = hi = 1.0
     if g1 < 0.0:
         for _ in range(_MAX_DOUBLINGS):
             lo = hi
             hi *= 2.0
-            g, _ = _epigraph_stationarity(epsilon, x0, y0, hi)
+            g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, hi)
             if g >= 0.0:
                 break
         else:
@@ -350,7 +337,7 @@ def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> Proje
         for _ in range(_MAX_DOUBLINGS):
             hi = lo
             lo *= 0.5
-            g, _ = _epigraph_stationarity(epsilon, x0, y0, lo)
+            g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, lo)
             if g <= 0.0:
                 break
         else:
@@ -358,40 +345,83 @@ def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> Proje
                 f"failed to bracket the epigraph foot from ({x0!r}, {y0!r}), "
                 f"epsilon={epsilon!r}: no sign change within {_MAX_DOUBLINGS} halvings"
             )
+    return lo, hi
 
-    # Safeguarded Newton on w = log u; the log scale keeps steps sane when
-    # the minimizer sits many decades from u = 1 (small epsilon).
-    w_lo, w_hi = math.log(lo), math.log(hi)
-    w = 0.5 * (w_lo + w_hi)
+
+def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> ProjectionResult:
+    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
+
+    Points already in the set are returned unchanged.  Otherwise the foot is
+    the unique root of the stationarity function g(u) = (u - x0) - h(u)
+    along the boundary (see :func:`_epigraph_stationarity`): outside points
+    sit on the convex side of the boundary curve.
+
+    For x0 > 0 the root is solved for the increment d = u - x0 on the
+    closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
+    wherever it is positive, so g(x0 + h(x0)) >= 0.  Along a two-set trace
+    the foot moves by about one step, so Newton from d = 0 converges in one
+    step, and the foot u = x0 + d carries a single rounding.  If
+    x0 + h(x0) == x0 the foot cannot move x0 by one ulp and a trace would
+    record a zero step where the true one is positive, so
+    :class:`NumericalFailureError` is raised.
+
+    For x0 <= 0, or when that bracket is wider than x0 itself
+    (h(x0) > x0, including an overflowing h), Newton from d = 0 would crawl
+    across many decades; the root is instead bracketed by geometric
+    expansion from u = 1 and solved for u itself.  Both brackets feed one
+    safeguarded Newton loop that bisects whenever a step leaves the bracket.
+    """
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not isinstance(x, PlanePoint):
+        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
+    x0, y0 = x.x, x.y
+    if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
+        return ProjectionResult(x, 0.0, "closed_form")
+
+    h0 = math.inf
+    if x0 > 0.0:
+        g, gp = _epigraph_stationarity(epsilon, x0, y0, x0, 0.0)
+        h0 = -g
+    if h0 <= x0:
+        if x0 + h0 == x0:
+            raise NumericalFailureError(
+                f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
+                f"one ulp of x0: the bracket width {h0!r} does not move x0"
+            )
+        base, lo, hi, d = x0, 0.0, h0, 0.0
+    else:
+        base = 0.0
+        lo, hi = _geometric_bracket(epsilon, x0, y0)
+        d = 0.5 * (lo + hi)
+        g, gp = _epigraph_stationarity(epsilon, x0, y0, base, d)
+
+    scale = max(1.0, abs(x0), abs(y0))
     for _ in range(_MAX_NEWTON):
-        u = math.exp(w)
-        g, gp = _epigraph_stationarity(epsilon, x0, y0, u)
         if abs(g) <= tol * scale:
             break
         if g > 0.0:
-            w_hi = w
+            hi = d
         else:
-            w_lo = w
-        dg_dw = u * gp
-        w_next = w - g / dg_dw if dg_dw != 0.0 else 0.5 * (w_lo + w_hi)
-        if not (w_lo < w_next < w_hi):
-            w_next = 0.5 * (w_lo + w_hi)
-        w = w_next
+            lo = d
+        d_next = d - g / gp
+        if not (lo < d_next < hi):
+            d_next = 0.5 * (lo + hi)
+        d = d_next
+        g, gp = _epigraph_stationarity(epsilon, x0, y0, base, d)
     else:
         raise NumericalFailureError(
             f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), epsilon={epsilon!r}"
         )
 
-    # Two unguarded polish steps push the foot to machine precision; the
-    # two-set step-size chains are checked with 1e-12 slack downstream.
-    for _ in range(2):
-        u = math.exp(w)
-        g, gp = _epigraph_stationarity(epsilon, x0, y0, u)
-        dg_dw = u * gp
-        if dg_dw != 0.0:
-            w -= g / dg_dw
+    # One unguarded Newton step from the converged residual pushes the foot
+    # to machine precision; the two-set step-size chains are checked with
+    # 1e-12 slack downstream.
+    d -= g / gp
 
-    u = math.exp(w)
+    u = base + d
     foot = PlanePoint(u, 1.0 + u ** (-epsilon))
     return ProjectionResult(foot, math.hypot(u - x0, foot.y - y0), "newton")
 

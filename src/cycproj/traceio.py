@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from itertools import zip_longest
 
 import numpy as np
@@ -74,7 +75,8 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
     sum_r_sq = float(np.sum(r[1:] ** 2)) if trace.completed >= 2 else 0.0
     return {
         "scenario": scenario,
-        "params": {k: _clean(float(val)) for k, val in params.items()},
+        "params": {k: int(val) if isinstance(val, numbers.Integral) else _clean(float(val))
+                   for k, val in params.items()},
         "n": trace.completed,
         "verdict": v.classification,
         "final_r": _clean(v.final_r),

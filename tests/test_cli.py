@@ -26,6 +26,25 @@ class TestRun:
         assert "verdict=NotRegular" in text
         assert "final_r=1" in text
 
+    def test_integer_params_stay_integers(self, tmp_path):
+        out = tmp_path / "tripod.json"
+        assert run_cli("run", "tripod", "--n", "10", "--format", "json",
+                       "--out", str(out)) == 0
+        k = json.loads(out.read_text())["params"]["k"]
+        assert k == 3 and isinstance(k, int)
+        out = tmp_path / "plane.json"
+        assert run_cli("run", "plane-two-sets", "--epsilon", "1", "--n", "10",
+                       "--format", "json", "--out", str(out)) == 0
+        assert isinstance(json.loads(out.read_text())["params"]["epsilon"], float)
+
+    def test_bad_flag_returns_usage_code(self, capsys):
+        assert run_cli("run", "tripod", "--format", "xml") == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert run_cli("--help") == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         assert run_cli("run", "unknown-name") == 2
         assert "unknown scenario" in capsys.readouterr().err
@@ -177,6 +196,13 @@ class TestSweep:
         results = json.loads(out.read_text())
         assert [r["grid_index"] for r in results] == [0, 1, 2]
         assert [r["params"]["epsilon"] for r in results] == [0.25, 0.5, 1.0]
+
+    def test_k_sweep_reports_integers(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run_cli("sweep", "tripod", "--param", "k", "--values", "3,4",
+                       "--n", "10", "--out", str(out)) == 0
+        ks = [entry["params"]["k"] for entry in json.loads(out.read_text())]
+        assert ks == [3, 4] and all(isinstance(k, int) for k in ks)
 
     def test_jobs_do_not_change_output(self, tmp_path):
         seq = tmp_path / "seq.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,73 @@ class TestEpigraph:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             project_epigraph(1.0, PlanePoint(1.0, 0.0), tol=0.0)
+
+    @pytest.mark.parametrize("eps, x0, foot", [
+        (0.25, 1e-300, 0.74708832998635),
+        (1.0, 1e-300, 1.2207440846057596),
+        (0.25, 1e-12, 0.7470883299867702),
+        (1.0, 1e-12, 1.2207440846060493),
+        # finite brackets [x0, x0 + h(x0)] many decades wide
+        (0.1, 1e-100, 0.47319375784270223),
+        (0.01, 1e-300, 0.14349899580976305),
+    ])
+    def test_tiny_x_still_projects(self, eps, x0, foot):
+        res = project_epigraph(eps, PlanePoint(x0, 0.0))
+        assert res.solver == "newton"
+        assert res.point.x == pytest.approx(foot, rel=1e-13, abs=0.0)
+        assert abs(epigraph_stationarity(eps, x0, 0.0, res.point.x)) <= 1e-13
+
+    @pytest.mark.parametrize("eps, x0", [(0.25, 1e8), (0.25, 1e20), (0.5, 1e20), (1.0, 1e20)])
+    def test_foot_below_float_resolution_raises(self, eps, x0):
+        # the foot lies less than one ulp from x0, so the step would read 0
+        with pytest.raises(NumericalFailureError, match=re.escape(f"({x0!r}, 0.0), epsilon={eps!r}")):
+            project_epigraph(eps, PlanePoint(x0, 0.0))
+
+    def test_random_plane_points_against_grid_oracle(self):
+        rng = np.random.default_rng(2024)
+        points = rng.uniform(-5.0, 5.0, size=(20_000, 2))
+        grid = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 4001))
+        for k, eps in enumerate((0.25, 0.5, 1.0)):
+            outside = []
+            for x0, y0 in points[k::3].tolist():
+                res = project_epigraph(eps, PlanePoint(x0, y0))
+                if res.solver == "closed_form":
+                    assert Epigraph(eps).contains(PlanePoint(x0, y0))
+                    continue
+                u = res.point.x
+                scale = max(1.0, abs(x0), abs(y0))
+                assert abs(epigraph_stationarity(eps, x0, y0, u)) <= 1e-13 * scale
+                outside.append((x0, y0, res.distance))
+            x0s, y0s, dist = np.array(outside).T
+            for lo in range(0, len(outside), 500):
+                part = slice(lo, lo + 500)
+                d2 = ((grid - x0s[part, None]) ** 2
+                      + (1.0 + grid ** (-eps) - y0s[part, None]) ** 2).min(axis=1)
+                # never farther than any grid point, and within grid resolution of the best
+                assert np.all(dist[part] ** 2 <= d2 + 1e-12)
+                assert np.all(d2 - dist[part] ** 2 <= 1e-3)
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0])
+    @pytest.mark.parametrize("x_start, cycles", [(1.3, 300), (280.0, 200)])
+    def test_trajectory_feet_within_one_ulp_of_mpmath_root(self, eps, x_start, cycles):
+        # x0 = 280 is where the two-set trajectory sits after about 10**6 cycles
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        x0 = x_start
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eps)
+            for _ in range(cycles):
+                u = project_epigraph(eps, PlanePoint(x0, 0.0)).point.x
+                x, root = mpmath.mpf(x0), mpmath.mpf(u)
+                for _ in range(4):  # Newton from the float foot, quadratic at 50 digits
+                    ue = root ** (-e)
+                    tail = 1 + ue
+                    g = (root - x) - e * ue / root * tail
+                    gp = 1 + e * (e + 1) * ue / root**2 * tail + (e * ue / root) ** 2
+                    root -= g / gp
+                worst = max(worst, float(abs(mpmath.mpf(u) - root)) / math.ulp(u))
+                x0 = u
+        assert worst <= 1.0
 
 
 class TestSegmentGeneric:
