@@ -186,17 +186,27 @@ def _out_path(args: argparse.Namespace, scenario: Scenario) -> str:
 # Commands
 
 
+def _write_trace(args: argparse.Namespace, trace, summary: dict, path: str) -> None:
+    if args.format == "csv":
+        traceio.write_trace_csv(trace, path)
+    else:
+        traceio.write_trace_json(trace, summary, path)
+
+
 def _execute_run(args: argparse.Namespace):
     """Shared run/rate body; returns (exit_code, summary dict)."""
     scenario, start, start_label = _scenario_and_start(args)
     trace = iterate(scenario.space, scenario.sets, start, args.n,
                     tol=args.tol, stride=args.stride)
+    path = _out_path(args, scenario)
     if trace.completed == 0:
-        path = _out_path(args, scenario)
-        traceio.write_trace_csv(trace, path)
+        # No cycle to classify: the summary says why, the trace holds the start.
+        summary = {"scenario": scenario.name, "n": 0, "failed": True,
+                   "failure": trace.failure}
+        _write_trace(args, trace, summary, path)
         print(f"numerical failure on the first cycle: {trace.failure}; "
               f"partial trace written to {path}", file=sys.stderr)
-        return EXIT_NUMERICAL, {"scenario": scenario.name, "failed": True}
+        return EXIT_NUMERICAL, summary
     v = verdict(trace)
 
     slope = None
@@ -208,11 +218,7 @@ def _execute_run(args: argparse.Namespace):
 
     summary = traceio.summary_dict(trace, v, scenario=scenario.name,
                                    params=dict(scenario.params), slope=slope)
-    path = _out_path(args, scenario)
-    if args.format == "csv":
-        traceio.write_trace_csv(trace, path)
-    else:
-        traceio.write_trace_json(trace, summary, path)
+    _write_trace(args, trace, summary, path)
 
     slope_text = "n/a" if summary["slope"] is None else f"{summary['slope']:.6g}"
     print(f"scenario={scenario.name} n={trace.completed} start={start_label} "

@@ -166,9 +166,13 @@ def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> Proje
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     start, end = seg.start, seg.end
+    space._check(start)
+    space._check(end)
+    space._check(x)
+    distance, geodesic = space._distance, space._geodesic
 
     def f(t: float) -> float:
-        d = space.distance(x, space.geodesic(start, end, t))
+        d = distance(x, geodesic(start, end, t))
         return d * d
 
     a, b, _, _ = _golden_section(f, 0.0, 1.0, tol)
@@ -183,8 +187,8 @@ def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> Proje
         if 0.0 <= vertex <= 1.0 and abs(vertex - base) <= 2.0 * h and f(vertex) <= f0:
             t_best = vertex
 
-    point = space.geodesic(start, end, t_best)
-    return ProjectionResult(point, space.distance(x, point), "golden_section")
+    point = geodesic(start, end, t_best)
+    return ProjectionResult(point, distance(x, point), "golden_section")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,40 @@ def _leg_path(tree: StarTree, a: StarPoint, b: StarPoint) -> tuple[int, float, f
     return a.leg, a.offset, b.offset - a.offset
 
 
+_SEGMENT_TABLE_CAP = 256
+# (id(space), id(seg)) -> (space, seg, left leg path, right leg path).  An
+# entry holds its space and segment, so neither id can be reused while it
+# stands; it is still used only when both match by identity.
+_segment_paths: dict[tuple[int, int], tuple] = {}
+
+
+def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple]:
+    """Both factors' leg paths of ``seg``, validated once per (space, seg) pair.
+
+    The projector is called with the same few segments every cycle, so the
+    space's shape, the segment's endpoints and their leg paths are worked out
+    on the first call and looked up by identity afterwards.  The table is
+    cleared when it reaches ``_SEGMENT_TABLE_CAP`` entries.  An entry depends
+    only on its immutable space and segment, so callers racing on the table
+    at worst work one out twice.
+    """
+    entry = _segment_paths.get((id(space), id(seg)))
+    if entry is not None and entry[0] is space and entry[1] is seg:
+        return entry[2], entry[3]
+    if not (isinstance(space, ProductSpace)
+            and isinstance(space.left, StarTree)
+            and isinstance(space.right, StarTree)):
+        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    space._check(seg.start)
+    space._check(seg.end)
+    left = _leg_path(space.left, seg.start.left, seg.end.left)
+    right = _leg_path(space.right, seg.start.right, seg.end.right)
+    if len(_segment_paths) >= _SEGMENT_TABLE_CAP:
+        _segment_paths.clear()
+    _segment_paths[(id(space), id(seg))] = (space, seg, left, right)
+    return left, right
+
+
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
     """Certified projector for leg-confined segments in a product of trees.
 
@@ -243,36 +281,26 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
     squared distance is a single quadratic in t; its minimizer clamped to
     [0, 1] is the exact foot.
     """
-    if not (isinstance(space, ProductSpace)
-            and isinstance(space.left, StarTree)
-            and isinstance(space.right, StarTree)):
-        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
-    space._check(seg.start)
-    space._check(seg.end)
-    space._check(x)
-
-    qa = 0.0  # t^2 coefficient
-    qb = 0.0  # t coefficient
-    feet_coeffs = []
-    for tree, s_a, s_b, xc in (
-        (space.left, seg.start.left, seg.end.left, x.left),
-        (space.right, seg.start.right, seg.end.right, x.right),
-    ):
-        leg, o0, do = _leg_path(tree, s_a, s_b)
-        if xc.leg == leg or xc.is_center:
-            c = o0 - xc.offset  # same leg: (l(t) - offset)^2
-        else:
-            c = o0 + xc.offset  # through the center: (l(t) + offset)^2
-        qa += do * do
-        qb += 2.0 * do * c
-        feet_coeffs.append((leg, o0, do))
+    (leg_l, o0_l, do_l), (leg_r, o0_r, do_r) = _tree_segment_paths(space, seg)
+    # x is validated by the one space.distance call that measures the foot;
+    # a point of the wrong type fails here first and gets _check's error.
+    # Same leg: (l(t) - offset)^2; through the center: (l(t) + offset)^2.  A
+    # center x has offset 0, where both forms agree.
+    try:
+        xl, xr = x.left, x.right
+        c_l = o0_l - xl.offset if xl.leg == leg_l else o0_l + xl.offset
+        c_r = o0_r - xr.offset if xr.leg == leg_r else o0_r + xr.offset
+    except AttributeError:
+        space._check(x)
+        raise
+    qa = do_l * do_l + do_r * do_r  # t^2 coefficient
+    qb = 2.0 * do_l * c_l + 2.0 * do_r * c_r  # t coefficient
 
     if qa == 0.0:
         t = 0.0  # degenerate segment
     else:
         t = min(1.0, max(0.0, -qb / (2.0 * qa)))
 
-    (leg_l, o0_l, do_l), (leg_r, o0_r, do_r) = feet_coeffs
     foot = ProductPoint(
         StarPoint(leg_l, o0_l + do_l * t),
         StarPoint(leg_r, o0_r + do_r * t),
@@ -514,12 +542,8 @@ def _segment_segment_tree_exact(space: ProductSpace, seg_a: Segment, seg_b: Segm
     square by checking the interior stationary point and the four edges.
     """
     coeffs = []
-    for tree, a_pts, b_pts in (
-        (space.left, (seg_a.start.left, seg_a.end.left), (seg_b.start.left, seg_b.end.left)),
-        (space.right, (seg_a.start.right, seg_a.end.right), (seg_b.start.right, seg_b.end.right)),
-    ):
-        leg_a, a0, da = _leg_path(tree, *a_pts)
-        leg_b, b0, db = _leg_path(tree, *b_pts)
+    for (leg_a, a0, da), (leg_b, b0, db) in zip(_tree_segment_paths(space, seg_a),
+                                                _tree_segment_paths(space, seg_b)):
         same = leg_a == leg_b or (da == 0.0 and a0 == 0.0) or (db == 0.0 and b0 == 0.0)
         sign = -1.0 if same else 1.0
         # factor term: (a0 + da*s + sign*(b0 + db*t))^2

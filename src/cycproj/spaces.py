@@ -20,12 +20,19 @@ Each space also owns its flat coordinate encoding, used by trace files and
 the command line: ``coord_names`` labels the coordinates, ``to_coords(p)``
 lists them and ``from_coords(values)`` rebuilds the point through the
 validating ``point()``.
+
+Validation happens at the public surface: ``point``, ``distance`` and
+``geodesic`` check every point they are given (``_check``) and raise
+``TypeError`` or ``ValueError`` for a point that is not on the space.
+``_distance`` and ``_geodesic`` are the unchecked internals behind them, for
+callers that have already validated their points; a product space combines
+its factors' internals, so each factor point is checked once per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "PlanePoint",
@@ -96,10 +103,16 @@ class Plane:
         self._check(q)
         return math.hypot(p.x - q.x, p.y - q.y)
 
+    def _distance(self, p: PlanePoint, q: PlanePoint) -> float:
+        return math.hypot(p.x - q.x, p.y - q.y)
+
     def geodesic(self, p: PlanePoint, q: PlanePoint, t: float) -> PlanePoint:
         self._check(p)
         self._check(q)
         _check_unit_interval(t)
+        return self._geodesic(p, q, t)
+
+    def _geodesic(self, p: PlanePoint, q: PlanePoint, t: float) -> PlanePoint:
         if t == 0.0:
             return p
         if t == 1.0:
@@ -184,17 +197,21 @@ class StarTree:
     def _check(self, p: StarPoint) -> None:
         if not isinstance(p, StarPoint):
             raise TypeError(f"expected StarPoint, got {type(p).__name__}")
-        if not (0 <= p.leg < self.leg_count):
-            raise ValueError(f"leg index {p.leg} out of range for {self.leg_count}-leg tree")
-        if p.offset > self.leg_lengths[p.leg]:
+        lengths = self.leg_lengths
+        if not (0 <= p.leg < len(lengths)):
+            raise ValueError(f"leg index {p.leg} out of range for {len(lengths)}-leg tree")
+        if p.offset > lengths[p.leg]:
             raise ValueError(
-                f"offset {p.offset!r} exceeds leg {p.leg} length {self.leg_lengths[p.leg]!r}"
+                f"offset {p.offset!r} exceeds leg {p.leg} length {lengths[p.leg]!r}"
             )
 
     def distance(self, p: StarPoint, q: StarPoint) -> float:
         """Length metric: |offsets| apart on one leg, through the center otherwise."""
         self._check(p)
         self._check(q)
+        return self._distance(p, q)
+
+    def _distance(self, p: StarPoint, q: StarPoint) -> float:
         if p.leg == q.leg:
             return abs(p.offset - q.offset)
         return p.offset + q.offset
@@ -204,6 +221,9 @@ class StarTree:
         self._check(p)
         self._check(q)
         _check_unit_interval(t)
+        return self._geodesic(p, q, t)
+
+    def _geodesic(self, p: StarPoint, q: StarPoint, t: float) -> StarPoint:
         if t == 0.0:
             return p
         if t == 1.0:
@@ -261,18 +281,24 @@ class ProductSpace:
     def distance(self, p: ProductPoint, q: ProductPoint) -> float:
         self._check(p)
         self._check(q)
-        dl = self.left.distance(p.left, q.left)
-        dr = self.right.distance(p.right, q.right)
-        return math.hypot(dl, dr)
+        return self._distance(p, q)
+
+    def _distance(self, p: ProductPoint, q: ProductPoint) -> float:
+        return math.hypot(self.left._distance(p.left, q.left),
+                          self.right._distance(p.right, q.right))
 
     def geodesic(self, p: ProductPoint, q: ProductPoint, t: float) -> ProductPoint:
         self._check(p)
         self._check(q)
+        _check_unit_interval(t)
+        return self._geodesic(p, q, t)
+
+    def _geodesic(self, p: ProductPoint, q: ProductPoint, t: float) -> ProductPoint:
         # Componentwise constant-speed geodesics at the same parameter give
         # the constant-speed product geodesic.
         return ProductPoint(
-            self.left.geodesic(p.left, q.left, t),
-            self.right.geodesic(p.right, q.right, t),
+            self.left._geodesic(p.left, q.left, t),
+            self.right._geodesic(p.right, q.right, t),
         )
 
 
@@ -299,6 +325,9 @@ class ChainPoint:
 
 
 _RADIUS_SLACK = 1e-12
+# Heights are normalized to [0, circumference), so |dh| < circumference and
+# the lift window of ``TwistedChain.distance`` never exceeds 4.
+_MAX_LIFT = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,6 +348,8 @@ class TwistedChain:
     circumference: float
     twist: float
     disc_heights: tuple[float, float, float] = None  # type: ignore[assignment]
+    # (cos k*twist, sin k*twist, k*circumference) for k = -_MAX_LIFT .. _MAX_LIFT
+    _lifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite("radius", self.radius)
@@ -350,6 +381,10 @@ class TwistedChain:
                 "disc-height gaps too uneven: nearest-lift selection between "
                 f"consecutive discs would be ambiguous (gaps {gaps!r})"
             )
+        object.__setattr__(self, "_lifts", tuple(
+            (math.cos(k * self.twist), math.sin(k * self.twist), k * lam)
+            for k in range(-_MAX_LIFT, _MAX_LIFT + 1)
+        ))
 
     coord_names = ("u", "v", "height")
 
@@ -407,6 +442,9 @@ class TwistedChain:
         """
         self._check(p)
         self._check(q)
+        return self._distance(p, q)
+
+    def _distance(self, p: ChainPoint, q: ChainPoint) -> float:
         # Canonical argument order makes d(p, q) and d(q, p) bitwise equal.
         if (p.height, p.u, p.v) > (q.height, q.u, q.v):
             p, q = q, p
@@ -414,12 +452,10 @@ class TwistedChain:
         dh = p.height - q.height
         window = 2 + math.ceil((abs(dh) + lam) / lam)
         best = math.inf
-        for k in range(-window, window + 1):
-            ang = k * self.twist
-            c, s = math.cos(ang), math.sin(ang)
+        for c, s, shift in self._lifts[_MAX_LIFT - window:_MAX_LIFT + window + 1]:
             du = p.u - (c * q.u - s * q.v)
             dv = p.v - (s * q.u + c * q.v)
-            dz = dh - k * lam
+            dz = dh - shift
             d2 = du * du + dv * dv + dz * dz
             if d2 < best:
                 best = d2

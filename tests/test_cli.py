@@ -124,6 +124,20 @@ class TestRun:
         assert "numerical failure" in capsys.readouterr().err
         assert out.exists()  # partial trace still written
 
+    def test_numerical_failure_writes_json_when_asked(self, tmp_path, capsys):
+        out = tmp_path / "fail.json"
+        code = run_cli("run", "plane-two-sets", "--n", "5", "--start-coords", "1e300,0",
+                       "--format", "json", "--out", str(out))
+        assert code == 3
+        with open(out, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["n"] == 0
+        assert payload["failed"] is True
+        assert "within one ulp of x0" in payload["failure"]
+        assert payload["trace"]["point_indices"] == [0]
+        assert payload["trace"]["points"] == [[1e300, 0.0]]
+        assert payload["trace"]["r"] == []
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CYCPROJ_OUT_DIR", str(tmp_path))
         code = run_cli("run", "two-lines", "--n", "10")

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from cycproj import projections
 from cycproj import (
     AmbiguousProjectionError,
     AxisLine,
@@ -18,8 +19,10 @@ from cycproj import (
     Plane,
     PlanePoint,
     ProductPoint,
+    ProductSpace,
     Segment,
     StarPoint,
+    StarTree,
     TwistedChain,
     UnsupportedShapeError,
     build_tripod_counterexample,
@@ -34,6 +37,14 @@ from cycproj import (
 
 DELTA = math.sqrt(2.0) / 4.0
 PLANE = Plane()
+# Factor points off the unit tripod's trees: a fourth leg, and past a leg's end.
+OFF_TREE = [pytest.param(StarPoint(3, 0.2), id="leg-3"),
+            pytest.param(StarPoint(1, 1.5), id="offset-1.5")]
+
+
+def off_tree_variants(point, bad):
+    """``point`` with its left, then its right factor replaced by ``bad``."""
+    return ProductPoint(bad, point.right), ProductPoint(point.left, bad)
 
 
 def epigraph_stationarity(eps, x0, y0, u):
@@ -200,6 +211,17 @@ class TestSegmentGeneric:
             project_segment_generic(tripod.space, tripod.sets[0],
                                     tripod.start("endpoint"), tol=-1.0)
 
+    @pytest.mark.parametrize("bad", OFF_TREE)
+    def test_every_argument_is_validated(self, tripod, bad):
+        space, seg = tripod.space, tripod.sets[0]
+        x = ProductPoint(StarPoint(1, 0.3), StarPoint(2, 0.4))
+        for off in off_tree_variants(x, bad):
+            with pytest.raises(ValueError):
+                project_segment_generic(space, seg, off)
+        for end in off_tree_variants(seg.end, bad):
+            with pytest.raises(ValueError):
+                project_segment_generic(space, Segment(seg.start, end), x)
+
 
 @pytest.fixture(scope="module")
 def tripod():
@@ -260,6 +282,80 @@ class TestSegmentTreeExact:
         res = project_segment_tree_exact(space, seg, x)
         generic = project_segment_generic(space, seg, x, tol=1e-12)
         assert space.distance(res.point, generic.point) <= 1e-7
+
+    @pytest.mark.parametrize("bad", OFF_TREE)
+    def test_every_argument_is_validated(self, tripod, bad):
+        space, seg = tripod.space, tripod.sets[0]
+        x = ProductPoint(StarPoint(1, 0.3), StarPoint(2, 0.4))
+        project_segment_tree_exact(space, seg, x)  # the segment is now known
+        for off in off_tree_variants(x, bad):
+            with pytest.raises(ValueError):
+                project_segment_tree_exact(space, seg, off)
+            with pytest.raises(ValueError):
+                project(space, seg, off)
+        for point in (seg.start, seg.end):
+            for off in off_tree_variants(point, bad):
+                bad_seg = Segment(off, seg.end) if point is seg.start else Segment(seg.start, off)
+                for _ in range(2):  # a rejected segment is not remembered
+                    with pytest.raises(ValueError):
+                        project_segment_tree_exact(space, bad_seg, x)
+                    with pytest.raises(ValueError):
+                        project(space, bad_seg, x)
+
+    def test_wrong_point_types_rejected(self, tripod):
+        space, seg = tripod.space, tripod.sets[0]
+        with pytest.raises(TypeError, match="expected ProductPoint"):
+            project_segment_tree_exact(space, seg, PlanePoint(0.0, 0.0))
+        with pytest.raises(TypeError, match="expected StarPoint"):
+            project_segment_tree_exact(space, seg, ProductPoint(PlanePoint(0.0, 0.0),
+                                                                StarPoint(0, 0.1)))
+
+    def test_known_segment_still_checked_in_another_space(self, tripod):
+        seg = tripod.sets[0]
+        x = ProductPoint(StarPoint(0, 0.3), StarPoint(0, 0.3))
+        project_segment_tree_exact(ProductSpace(StarTree.unit(3), StarTree.unit(3)), seg, x)
+        short = ProductSpace(StarTree((0.4,) * 3), StarTree((0.4,) * 3))
+        # the endpoint is rejected, not just the foot (offsets 0.5) it would give
+        endpoint = re.escape(f"offset {seg.start.left.offset!r} exceeds leg 0 length 0.4")
+        with pytest.raises(ValueError, match=endpoint):
+            project_segment_tree_exact(short, seg, x)
+        with pytest.raises(ValueError, match=endpoint):
+            project(short, seg, x)
+
+    def test_set_distance_checks_segment_endpoints(self, tripod):
+        short = ProductSpace(StarTree((0.4,) * 3), StarTree((0.4,) * 3))
+        with pytest.raises(ValueError, match="exceeds leg 0 length 0.4"):
+            set_distance(short, tripod.sets[0], tripod.sets[1])
+
+    def test_equal_distinct_segment_gives_identical_foot(self, tripod):
+        space = tripod.space
+        rng = np.random.default_rng(29)
+        for seg in tripod.sets:
+            twin = Segment(seg.start, seg.end)
+            assert twin == seg and twin is not seg
+            for _ in range(20):
+                x = ProductPoint(StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))),
+                                 StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))))
+                a = project_segment_tree_exact(space, seg, x)
+                b = project_segment_tree_exact(space, twin, x)
+                assert repr(a) == repr(b)
+
+    def test_segment_table_overflow_leaves_results_unchanged(self, tripod):
+        space = tripod.space
+        rng = np.random.default_rng(31)
+        xs = [ProductPoint(StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))),
+                           StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))))
+              for _ in range(10)]
+        before = [repr(project_segment_tree_exact(space, seg, x))
+                  for seg in tripod.sets for x in xs]
+        cap = projections._SEGMENT_TABLE_CAP
+        fillers = [Segment(seg.start, seg.end) for _ in range(cap) for seg in tripod.sets]
+        for seg in fillers:
+            project_segment_tree_exact(space, seg, xs[0])
+            assert len(projections._segment_paths) <= cap
+        after = [repr(project_segment_tree_exact(space, seg, x))
+                 for seg in tripod.sets for x in xs]
+        assert after == before
 
     def test_agreement_on_random_inputs(self, tripod):
         space = tripod.space

@@ -174,6 +174,21 @@ class TestProduct:
         with pytest.raises(TypeError):
             product.distance(PlanePoint(0, 0), ProductPoint(StarPoint(0, 0.1), StarPoint(0, 0.1)))
 
+    @pytest.mark.parametrize("bad, message", [(StarPoint(3, 0.2), "leg index 3 out of range"),
+                                              (StarPoint(1, 1.5), "offset 1.5 exceeds leg 1")])
+    @pytest.mark.parametrize("factor", ["left", "right"])
+    def test_factor_points_validated_in_either_argument(self, product, bad, message, factor):
+        good = ProductPoint(StarPoint(0, 0.3), StarPoint(2, 0.6))
+        if factor == "left":
+            off = ProductPoint(bad, good.right)
+        else:
+            off = ProductPoint(good.left, bad)
+        for p, q in ((off, good), (good, off)):
+            with pytest.raises(ValueError, match=message):
+                product.distance(p, q)
+            with pytest.raises(ValueError, match=message):
+                product.geodesic(p, q, 0.5)
+
     def test_constant_speed_random(self, product):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -244,6 +259,45 @@ class TestTwistedChain:
                          math.sin(a) * q.u + math.cos(a) * q.v,
                          q.height + chain.circumference)
         assert abs(chain.distance(p, q) - chain.distance(p, q2)) < 1e-12
+
+    @staticmethod
+    def per_k_distance(chain, p, q):
+        """The lift loop with cos and sin computed afresh for every k."""
+        if (p.height, p.u, p.v) > (q.height, q.u, q.v):
+            p, q = q, p
+        lam = chain.circumference
+        dh = p.height - q.height
+        window = 2 + math.ceil((abs(dh) + lam) / lam)
+        best = math.inf
+        for k in range(-window, window + 1):
+            ang = k * chain.twist
+            c, s = math.cos(ang), math.sin(ang)
+            du = p.u - (c * q.u - s * q.v)
+            dv = p.v - (s * q.u + c * q.v)
+            dz = dh - k * lam
+            d2 = du * du + dv * dv + dz * dz
+            if d2 < best:
+                best = d2
+        return math.sqrt(best)
+
+    def test_lift_table_matches_per_k_loop_bitwise(self, chain):
+        rng = np.random.default_rng(41)
+        wide = TwistedChain(radius=2.0, circumference=0.7, twist=2.3)
+        for space in (chain, wide):
+            lam = space.circumference
+            edge = (0.0, math.nextafter(lam, 0.0), lam * (1.0 - 1e-15), lam - 1e-9)
+
+            def random_point():
+                rad = space.radius * math.sqrt(rng.uniform(0, 1))
+                ang = rng.uniform(0, 2 * math.pi)
+                h = edge[rng.integers(len(edge))] if rng.uniform() < 0.3 else rng.uniform(0, lam)
+                return ChainPoint(rad * math.cos(ang), rad * math.sin(ang), float(h))
+
+            for _ in range(5_000):
+                p, q = random_point(), random_point()
+                d = space.distance(p, q)
+                assert d == self.per_k_distance(space, p, q)
+                assert d == space.distance(q, p)
 
     def test_validation(self, chain):
         with pytest.raises(ValueError):
