@@ -9,6 +9,14 @@ returns to the first set once per cycle.  A trace records the cycle
 outputs x_n = P^n(x), the step sizes r_n = d(x_n, x_{n+1}) computed from
 one full cycle apart (never from intermediates), and for k = 2 the
 auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
+
+``iterate`` picks its loop from the types of its inputs.  A ``Plane`` with
+the sets ``(AxisLine(), Epigraph(eps))`` runs a float kernel: x_n stays on
+the axis, one call to the epigraph projector's float core gives each
+cycle's foot, and points are built only where the trace stores them.  Its
+output is bitwise the generic loop's.  Every other space or set tuple,
+including the reversed pair ``(Epigraph(eps), AxisLine())``, runs the
+generic loop through ``project`` and ``space.distance``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .projections import ConvexSet, NumericalFailureError, project
+from .projections import (
+    AxisLine,
+    ConvexSet,
+    Epigraph,
+    NumericalFailureError,
+    _check_epigraph_args,
+    _check_method,
+    _epigraph_foot,
+    project,
+)
+from .spaces import Plane, PlanePoint
 
 __all__ = [
     "Trace",
@@ -110,7 +128,10 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
 
     Deterministic: identical inputs produce bit-identical traces.  On a
     numerical failure inside a projection the trace is returned truncated
-    with ``failed`` set; domain and usage errors propagate.
+    with ``failed`` set; domain and usage errors propagate.  The x-axis
+    against an epigraph runs on the float kernel
+    :func:`_axis_epigraph_cycles`, every other input on
+    :func:`_generic_cycles`; both fill the trace with the same bits.
     """
     sets = tuple(sets)
     if not sets:
@@ -130,38 +151,19 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     s_arr = np.full(n, np.nan) if two_sets else None
     a_arr = np.full(n + 1, np.nan) if two_sets else None
     b_arr = np.full(n, np.nan) if two_sets else None
-
     point_indices: list[int] = [0]
     points: list = [start]
     inters: list | None = [] if keep_intermediates else None
 
-    distance = space.distance
-    x = start
-    y_prev = None
-    failure: str | None = None
-    completed = n
-    for i in range(n):
-        try:
-            x_next, mids = cycle_apply(space, sets, x, tol=tol, method=method)
-        except NumericalFailureError as exc:
-            failure = str(exc)
-            completed = i
-            break
-        r[i] = distance(x, x_next)
-        if two_sets:
-            y = mids[0]
-            b_arr[i] = distance(y, x)
-            a_arr[i + 1] = distance(x_next, y)
-            if y_prev is not None:
-                s_arr[i] = distance(y_prev, y)
-            y_prev = y
-        keep = (i + 1) % stride <= 1 or i + 1 == n
-        if keep:
-            point_indices.append(i + 1)
-            points.append(x_next)
-            if inters is not None:
-                inters.append(mids)
-        x = x_next
+    # A Plane subclass may measure differently, so only the Plane itself
+    # takes the kernel.
+    if (type(space) is Plane and two_sets and isinstance(sets[0], AxisLine)
+            and isinstance(sets[1], Epigraph)):
+        cycles_of = _axis_epigraph_cycles
+    else:
+        cycles_of = _generic_cycles
+    completed, x, failure = cycles_of(space, sets, start, tol, method, stride, r, s_arr,
+                                      a_arr, b_arr, point_indices, points, inters)
 
     if failure is not None:
         r = r[:completed]
@@ -169,7 +171,7 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
             s_arr = s_arr[:completed]
             a_arr = a_arr[: completed + 1]
             b_arr = b_arr[:completed]
-        if points[-1] is not x:
+        if point_indices[-1] != completed:
             point_indices.append(completed)
             points.append(x)
 
@@ -189,6 +191,83 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         failed=failure is not None,
         failure=failure,
     )
+
+
+def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
+                    point_indices, points, inters):
+    """Fill a trace's arrays and point lists cycle by cycle through ``project``.
+
+    Returns ``(completed, x, failure)``: the cycles run, the last point
+    reached and the text of the numerical failure that stopped the run, or
+    None when all ``len(r)`` cycles ran.
+    """
+    two_sets = s_arr is not None
+    n = len(r)
+    distance = space.distance
+    x = start
+    y_prev = None
+    for i in range(n):
+        try:
+            x_next, mids = cycle_apply(space, sets, x, tol=tol, method=method)
+        except NumericalFailureError as exc:
+            return i, x, str(exc)
+        r[i] = distance(x, x_next)
+        if two_sets:
+            y = mids[0]
+            b_arr[i] = distance(y, x)
+            a_arr[i + 1] = distance(x_next, y)
+            if y_prev is not None:
+                s_arr[i] = distance(y_prev, y)
+            y_prev = y
+        if (i + 1) % stride <= 1 or i + 1 == n:
+            point_indices.append(i + 1)
+            points.append(x_next)
+            if inters is not None:
+                inters.append(mids)
+        x = x_next
+    return n, x, None
+
+
+def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
+                          point_indices, points, inters):
+    """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
+
+    A cycle projects x onto the epigraph, giving the foot y = (u, height),
+    and y onto the axis, giving (u, 0).  The foot comes from the epigraph
+    projector's float core and every distance is the ``math.hypot`` that
+    ``Plane.distance`` evaluates, with the same operands in the same order,
+    so the trace is bitwise the generic loop's.  Points are built only where
+    the trace stores them, and ``start`` is validated once, here.
+    """
+    _check_method(method)
+    epsilon = sets[1].epsilon
+    _check_epigraph_args(epsilon, tol)
+    space._check(start)
+    foot, hypot, isfinite = _epigraph_foot, math.hypot, math.isfinite
+    n = len(r)
+    x_x, x_y = start.x, start.y
+    y_x = y_y = 0.0
+    for i in range(n):
+        try:
+            u, height, _ = foot(epsilon, x_x, x_y, tol)
+        except NumericalFailureError as exc:
+            return i, PlanePoint(x_x, x_y), str(exc)
+        if not (isfinite(u) and isfinite(height)):
+            PlanePoint(u, height)  # raises the error the generic loop raises here
+        r[i] = hypot(x_x - u, x_y - 0.0)  # d(x, x_next)
+        b_arr[i] = hypot(u - x_x, height - x_y)  # d(y, x)
+        a_arr[i + 1] = hypot(u - u, 0.0 - height)  # d(x_next, y)
+        if i:
+            s_arr[i] = hypot(y_x - u, y_y - height)  # d(y_prev, y)
+        y_x, y_y = u, height
+        if (i + 1) % stride <= 1 or i + 1 == n:
+            x_next = PlanePoint(u, 0.0)
+            point_indices.append(i + 1)
+            points.append(x_next)
+            if inters is not None:
+                inters.append((PlanePoint(u, height), x_next))
+        x_x, x_y = u, 0.0
+    return n, None, None
 
 
 # ---------------------------------------------------------------------------

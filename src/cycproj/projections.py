@@ -376,43 +376,28 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, flo
     return lo, hi
 
 
-def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> ProjectionResult:
-    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
-
-    Points already in the set are returned unchanged.  Otherwise the foot is
-    the unique root of the stationarity function g(u) = (u - x0) - h(u)
-    along the boundary (see :func:`_epigraph_stationarity`): outside points
-    sit on the convex side of the boundary curve.
-
-    For x0 > 0 the root is solved for the increment d = u - x0 on the
-    closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
-    wherever it is positive, so g(x0 + h(x0)) >= 0.  Along a two-set trace
-    the foot moves by about one step, so Newton from d = 0 converges in one
-    step, and the foot u = x0 + d carries a single rounding.  If
-    x0 + h(x0) == x0 the foot cannot move x0 by one ulp and a trace would
-    record a zero step where the true one is positive, so
-    :class:`NumericalFailureError` is raised.
-
-    For x0 <= 0, or when that bracket is wider than x0 itself
-    (h(x0) > x0, including an overflowing h), Newton from d = 0 would crawl
-    across many decades; the root is instead bracketed by geometric
-    expansion from u = 1 and solved for u itself.  Both brackets feed one
-    safeguarded Newton loop that bisects whenever a step leaves the bracket.
-    """
+def _check_epigraph_args(epsilon: float, tol: float) -> None:
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not isinstance(x, PlanePoint):
-        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
-    x0, y0 = x.x, x.y
+
+
+def _epigraph_foot(epsilon: float, x0: float, y0: float, tol: float) -> tuple[float, float, str]:
+    """Float core of :func:`project_epigraph` for a validated point (x0, y0).
+
+    Returns the foot's coordinates ``(u, height)`` and the solver tag: a
+    point already in the set is its own foot (``closed_form``), any other is
+    solved by Newton (``newton``).
+    """
     if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
-        return ProjectionResult(x, 0.0, "closed_form")
+        return x0, y0, "closed_form"
 
     h0 = math.inf
     if x0 > 0.0:
         g, gp = _epigraph_stationarity(epsilon, x0, y0, x0, 0.0)
-        h0 = -g
+        # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
+        h0 = 0.0 - g
     if h0 <= x0:
         if x0 + h0 == x0:
             raise NumericalFailureError(
@@ -450,8 +435,42 @@ def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> Proje
     d -= g / gp
 
     u = base + d
-    foot = PlanePoint(u, 1.0 + u ** (-epsilon))
-    return ProjectionResult(foot, math.hypot(u - x0, foot.y - y0), "newton")
+    return u, 1.0 + u ** (-epsilon), "newton"
+
+
+def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> ProjectionResult:
+    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
+
+    Points already in the set are returned unchanged.  Otherwise the foot is
+    the unique root of the stationarity function g(u) = (u - x0) - h(u)
+    along the boundary (see :func:`_epigraph_stationarity`): outside points
+    sit on the convex side of the boundary curve.  The solve itself is the
+    float core :func:`_epigraph_foot`, which the two-set kernel in
+    :mod:`cycproj.engine` calls directly.
+
+    For x0 > 0 the root is solved for the increment d = u - x0 on the
+    closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
+    wherever it is positive, so g(x0 + h(x0)) >= 0.  Along a two-set trace
+    the foot moves by about one step, so Newton from d = 0 converges in one
+    step, and the foot u = x0 + d carries a single rounding.  If
+    x0 + h(x0) == x0 the foot cannot move x0 by one ulp and a trace would
+    record a zero step where the true one is positive, so
+    :class:`NumericalFailureError` is raised.
+
+    For x0 <= 0, or when that bracket is wider than x0 itself
+    (h(x0) > x0, including an overflowing h), Newton from d = 0 would crawl
+    across many decades; the root is instead bracketed by geometric
+    expansion from u = 1 and solved for u itself.  Both brackets feed one
+    safeguarded Newton loop that bisects whenever a step leaves the bracket.
+    """
+    _check_epigraph_args(epsilon, tol)
+    if not isinstance(x, PlanePoint):
+        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
+    u, height, solver = _epigraph_foot(epsilon, x.x, x.y, tol)
+    if solver == "closed_form":
+        return ProjectionResult(x, 0.0, solver)
+    foot = PlanePoint(u, height)
+    return ProjectionResult(foot, math.hypot(u - x.x, height - x.y), solver)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +509,11 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
 # Dispatch
 
 
+def _check_method(method: str) -> None:
+    if method not in ("auto", "exact", "generic"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto") -> ProjectionResult:
     """Project x onto cset within space.
 
@@ -498,8 +522,7 @@ def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto")
     requires a closed form, ``generic`` forces golden section.  Other set
     kinds always use their exact projector.
     """
-    if method not in ("auto", "exact", "generic"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     if isinstance(cset, Segment):
         if method == "generic":
             return project_segment_generic(space, cset, x, tol)

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from cycproj import (
+    AxisLine,
+    Epigraph,
+    NumericalFailureError,
+    Plane,
     PlanePoint,
     Trace,
     build_plane_two_lines,
@@ -150,6 +154,139 @@ class TestIterate:
             iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 0)
         with pytest.raises(ValueError):
             iterate(tripod.space, (), tripod.start("endpoint"), 5)
+
+
+def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", stride=None):
+    """The generic loop of ``iterate``: ``cycle_apply`` plus ``space.distance``.
+
+    Kept here as the reference the float kernel for the axis against an
+    epigraph must match bit for bit.
+    """
+    sets = tuple(sets)
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles!r}")
+    if stride is None:
+        stride = 1 if cycles <= 100_000 else math.ceil(cycles / 10_000)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride!r}")
+    n = cycles
+    r = np.empty(n)
+    s_arr, b_arr = np.full(n, np.nan), np.full(n, np.nan)
+    a_arr = np.full(n + 1, np.nan)
+    point_indices, points = [0], [start]
+    inters = [] if cycles <= 1_000 else None
+    distance = space.distance
+    x, y_prev, failure, completed = start, None, None, n
+    for i in range(n):
+        try:
+            x_next, mids = cycle_apply(space, sets, x, tol=tol, method=method)
+        except NumericalFailureError as exc:
+            failure, completed = str(exc), i
+            break
+        r[i] = distance(x, x_next)
+        y = mids[0]
+        b_arr[i] = distance(y, x)
+        a_arr[i + 1] = distance(x_next, y)
+        if y_prev is not None:
+            s_arr[i] = distance(y_prev, y)
+        y_prev = y
+        if (i + 1) % stride <= 1 or i + 1 == n:
+            point_indices.append(i + 1)
+            points.append(x_next)
+            if inters is not None:
+                inters.append(mids)
+        x = x_next
+    if failure is not None:
+        r, s_arr, b_arr = r[:completed], s_arr[:completed], b_arr[:completed]
+        a_arr = a_arr[: completed + 1]
+        if points[-1] is not x:
+            point_indices.append(completed)
+            points.append(x)
+    return Trace(space=space, sets=sets, start=start, requested=n, stride=stride, r=r,
+                 point_indices=np.asarray(point_indices, dtype=np.int64), points=points,
+                 s=s_arr, a=a_arr, b=b_arr, intermediates=inters,
+                 failed=failure is not None, failure=failure)
+
+
+def outcome(run, *args, **kwargs):
+    """Everything a trace records, as comparable values, or the error raised."""
+    try:
+        t = run(*args, **kwargs)
+    except Exception as exc:  # the two loops must raise alike, too
+        return ("raised", type(exc), str(exc))
+    return (t.r.tobytes(), t.s.tobytes(), t.a.tobytes(), t.b.tobytes(), repr(t.points),
+            repr(t.intermediates), t.point_indices.tolist(), t.stride, t.failed, t.failure)
+
+
+KERNEL_STARTS = [
+    (1.0, 0.0), (0.0, 0.0), (1e-300, 0.0), (280.0, 0.0),
+    (-3.0, 2.0),   # x0 <= 0: geometric bracket
+    (2.0, 5.0),    # inside the epigraph
+    (3.7, -2.2),
+    (1e300, 0.0), (1e20, 0.0),  # fail on the first cycle
+]
+
+
+class TestAxisEpigraphKernel:
+    @pytest.mark.parametrize("eps", [0.01, 0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("xy", KERNEL_STARTS)
+    def test_bitwise_the_generic_loop(self, eps, xy):
+        space, sets, start = Plane(), (AxisLine(), Epigraph(eps)), PlanePoint(*xy)
+        for n in (1, 7, 500, 3000):
+            assert outcome(iterate, space, sets, start, n) == \
+                outcome(reference_iterate, space, sets, start, n), n
+
+    def test_bitwise_the_generic_loop_with_stride(self):
+        space, sets = Plane(), (AxisLine(), Epigraph(0.5))
+        for start in (PlanePoint(1.3, 0.0), PlanePoint(-3.0, 2.0)):
+            kernel = outcome(iterate, space, sets, start, 1200, stride=7)
+            assert kernel == outcome(reference_iterate, space, sets, start, 1200, stride=7)
+            assert kernel[6][:4] == [0, 1, 7, 8]
+
+    def test_mid_run_failure_appends_the_last_point(self):
+        # six ulps below 2**23 the steps move x by one ulp until x reaches
+        # 2**23, where ulps double and cycle 6 fails; stride 4 stores
+        # cycles 0, 1, 4 and 5, so the failed trace must append cycle 6
+        space, sets = Plane(), (AxisLine(), Epigraph(0.25))
+        start = PlanePoint(2.0**23 - 6 * 2.0**-30, 0.0)
+        kernel = outcome(iterate, space, sets, start, 50, stride=4)
+        assert kernel == outcome(reference_iterate, space, sets, start, 50, stride=4)
+        assert kernel[8] and kernel[6] == [0, 1, 4, 5, 6]
+
+    @pytest.mark.parametrize("start, kwargs, error, match", [
+        ("1.3,0", {}, TypeError, "expected PlanePoint, got str"),
+        (PlanePoint(1.3, 0.0), {"method": "bogus"}, ValueError, "unknown method 'bogus'"),
+        (PlanePoint(1.3, 0.0), {"tol": 0.0}, ValueError, "tol must be positive"),
+        (PlanePoint(1.3, 0.0), {"cycles": 0}, ValueError, "cycles must be >= 1"),
+        (PlanePoint(1.3, 0.0), {"stride": 0}, ValueError, "stride must be >= 1"),
+    ])
+    def test_rejects_what_the_generic_loop_rejects(self, start, kwargs, error, match):
+        space, sets = Plane(), (AxisLine(), Epigraph(0.5))
+        kwargs = {"cycles": 5, **kwargs}
+        cycles = kwargs.pop("cycles")
+        for run in (iterate, reference_iterate):
+            with pytest.raises(error, match=match):
+                run(space, sets, start, cycles, **kwargs)
+
+    @pytest.mark.parametrize("xy", [(1.3, 0.0), (2.0, 5.0), (-3.0, 2.0), (1e300, 0.0)])
+    def test_reversed_order_matches_the_generic_loop(self, xy):
+        space, sets, start = Plane(), (Epigraph(0.5), AxisLine()), PlanePoint(*xy)
+        for n in (1, 500):
+            assert outcome(iterate, space, sets, start, n) == \
+                outcome(reference_iterate, space, sets, start, n)
+
+    def test_kernel_chosen_by_input_types(self, monkeypatch):
+        import cycproj.engine
+
+        def no_project(*args, **kwargs):
+            raise AssertionError("generic loop used")
+
+        monkeypatch.setattr(cycproj.engine, "project", no_project)
+        start = PlanePoint(1.3, 0.0)
+        assert iterate(Plane(), (AxisLine(), Epigraph(0.5)), start, 10).completed == 10
+        for sets in ((Epigraph(0.5), AxisLine()), (AxisLine(), AxisLine())):
+            with pytest.raises(AssertionError, match="generic loop used"):
+                iterate(Plane(), sets, start, 10)
 
 
 class TestTwoSetDiagnostics:

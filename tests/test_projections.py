@@ -101,6 +101,13 @@ class TestEpigraph:
         with pytest.raises(NumericalFailureError, match="1e\\+300"):
             project_epigraph(1.0, PlanePoint(1e300, 0.0))
 
+    def test_underflowed_bracket_width_reads_zero(self):
+        # h(1e300) underflows to 0.0; its negation must not print as -0.0
+        with pytest.raises(NumericalFailureError) as info:
+            project_epigraph(0.5, PlanePoint(1e300, 0.0))
+        assert "width 0.0 " in str(info.value)
+        assert "-0.0" not in str(info.value)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             project_epigraph(1.0, PlanePoint(1.0, 0.0), tol=0.0)
