@@ -34,7 +34,7 @@ from .projections import (
     Epigraph,
     NumericalFailureError,
     _check_epigraph_args,
-    _check_method,
+    _METHODS,
     _epigraph_foot,
     project,
 )
@@ -239,7 +239,8 @@ def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_a
     so the trace is bitwise the generic loop's.  Points are built only where
     the trace stores them, and ``start`` is validated once, here.
     """
-    _check_method(method)
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     epsilon = sets[1].epsilon
     _check_epigraph_args(epsilon, tol)
     space._check(start)

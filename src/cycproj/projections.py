@@ -509,9 +509,7 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
 # Dispatch
 
 
-def _check_method(method: str) -> None:
-    if method not in ("auto", "exact", "generic"):
-        raise ValueError(f"unknown method {method!r}")
+_METHODS = ("auto", "exact", "generic")
 
 
 def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto") -> ProjectionResult:
@@ -522,7 +520,8 @@ def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto")
     requires a closed form, ``generic`` forces golden section.  Other set
     kinds always use their exact projector.
     """
-    _check_method(method)
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(cset, Segment):
         if method == "generic":
             return project_segment_generic(space, cset, x, tol)
