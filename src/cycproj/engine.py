@@ -83,7 +83,6 @@ class Trace:
     s: np.ndarray | None = None
     a: np.ndarray | None = None
     b: np.ndarray | None = None
-    intermediates: list | None = None
     failed: bool = False
     failure: str | None = None
 
@@ -99,10 +98,6 @@ class Trace:
     @property
     def final_r(self) -> float:
         return float(self.r[-1])
-
-    @property
-    def final_point(self):
-        return self.points[-1]
 
 
 def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12,
@@ -122,8 +117,7 @@ def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12,
 
 
 def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
-            tol: float = 1e-12, method: str = "auto", stride: int | None = None,
-            keep_intermediates: bool | None = None) -> Trace:
+            tol: float = 1e-12, method: str = "auto", stride: int | None = None) -> Trace:
     """Run ``cycles`` cycles of the projection iteration from ``start``.
 
     Deterministic: identical inputs produce bit-identical traces.  On a
@@ -142,8 +136,6 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         stride = 1 if cycles <= _DECIMATION_THRESHOLD else math.ceil(cycles / _POINTS_KEPT)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
-    if keep_intermediates is None:
-        keep_intermediates = cycles <= 1_000
 
     two_sets = len(sets) == 2
     n = cycles
@@ -153,7 +145,6 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     b_arr = np.full(n, np.nan) if two_sets else None
     point_indices: list[int] = [0]
     points: list = [start]
-    inters: list | None = [] if keep_intermediates else None
 
     # A Plane subclass may measure differently, so only the Plane itself
     # takes the kernel.
@@ -163,7 +154,7 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     else:
         cycles_of = _generic_cycles
     completed, x, failure = cycles_of(space, sets, start, tol, method, stride, r, s_arr,
-                                      a_arr, b_arr, point_indices, points, inters)
+                                      a_arr, b_arr, point_indices, points)
 
     if failure is not None:
         r = r[:completed]
@@ -187,14 +178,13 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         s=s_arr,
         a=a_arr,
         b=b_arr,
-        intermediates=inters,
         failed=failure is not None,
         failure=failure,
     )
 
 
 def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
-                    point_indices, points, inters):
+                    point_indices, points):
     """Fill a trace's arrays and point lists cycle by cycle through ``project``.
 
     Returns ``(completed, x, failure)``: the cycles run, the last point
@@ -222,14 +212,12 @@ def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_
         if (i + 1) % stride <= 1 or i + 1 == n:
             point_indices.append(i + 1)
             points.append(x_next)
-            if inters is not None:
-                inters.append(mids)
         x = x_next
     return n, x, None
 
 
 def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
-                          point_indices, points, inters):
+                          point_indices, points):
     """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
     A cycle projects x onto the epigraph, giving the foot y = (u, height),
@@ -262,11 +250,8 @@ def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_a
             s_arr[i] = hypot(y_x - u, y_y - height)  # d(y_prev, y)
         y_x, y_y = u, height
         if (i + 1) % stride <= 1 or i + 1 == n:
-            x_next = PlanePoint(u, 0.0)
             point_indices.append(i + 1)
-            points.append(x_next)
-            if inters is not None:
-                inters.append((PlanePoint(u, height), x_next))
+            points.append(PlanePoint(u, 0.0))
         x_x, x_y = u, 0.0
     return n, None, None
 

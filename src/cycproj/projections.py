@@ -126,32 +126,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_STEP = 1e-5
 
 
-def _golden_iterations(tol: float) -> int:
-    return math.ceil(math.log(1.0 / tol) / math.log(1.0 / _INVPHI))
-
-
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float, float]:
-    """Shrink ``[a, b]`` around a minimum of the unimodal ``f``.
-
-    The iteration count is fixed from ``tol`` for determinism.  Returns the
-    final bracket ``(a, b)`` and the values of ``f`` at its two interior
-    points.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_golden_iterations(tol)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return a, b, fc, fd
-
-
 def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> ProjectionResult:
     """Project x onto a geodesic segment by golden-section search.
 
@@ -175,7 +149,19 @@ def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> Proje
         d = distance(x, geodesic(start, end, t))
         return d * d
 
-    a, b, _, _ = _golden_section(f, 0.0, 1.0, tol)
+    a, b = 0.0, 1.0
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(math.ceil(math.log(1.0 / tol) / math.log(1.0 / _INVPHI))):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
     t_best = 0.5 * (a + b)
 
     h = _POLISH_STEP
@@ -556,16 +542,27 @@ def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto")
 # Distance between sets
 
 
-def _segment_segment_tree_exact(space: ProductSpace, seg_a: Segment, seg_b: Segment) -> float:
-    """Exact distance between two leg-confined segments in a tree product.
+def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
+    """Exact distance between two leg-confined segments in a product of star trees.
 
     The squared distance is a single quadratic in the two parameters
     (squares absorb the |.| kinks factorwise), minimized over the unit
     square by checking the interior stationary point and the four edges.
+    Equal sets are at distance 0.  Any other pair raises
+    :class:`UnsupportedShapeError`: a set that is not a segment, a space
+    that is not a product of star trees, or a segment whose coordinate
+    crosses a tree center.
     """
+    if set_a == set_b:
+        return 0.0
+    if not (isinstance(set_a, Segment) and isinstance(set_b, Segment)):
+        raise UnsupportedShapeError(
+            f"set_distance covers only pairs of segments, got {type(set_a).__name__} "
+            f"and {type(set_b).__name__}"
+        )
     coeffs = []
-    for (leg_a, a0, da), (leg_b, b0, db) in zip(_tree_segment_paths(space, seg_a),
-                                                _tree_segment_paths(space, seg_b)):
+    for (leg_a, a0, da), (leg_b, b0, db) in zip(_tree_segment_paths(space, set_a),
+                                                _tree_segment_paths(space, set_b)):
         same = leg_a == leg_b or (da == 0.0 and a0 == 0.0) or (db == 0.0 and b0 == 0.0)
         sign = -1.0 if same else 1.0
         # factor term: (a0 + da*s + sign*(b0 + db*t))^2
@@ -608,73 +605,3 @@ def _segment_segment_tree_exact(space: ProductSpace, seg_a: Segment, seg_b: Segm
 
     best = min(value(s, t) for s, t in candidates)
     return math.sqrt(max(0.0, best))
-
-
-_GRID_SAMPLES = 257
-
-
-def _default_param_grid(space, cset: ConvexSet, span: float):
-    """Parameter grid and point constructor for sampling a set.
-
-    Returns (params, make_point); params is None for sets without a usable
-    1-D parametrization (cross discs), in which case a fixed point list is
-    returned instead.
-    """
-    samples = _GRID_SAMPLES
-    if isinstance(cset, Segment):
-        params = [i / (samples - 1) for i in range(samples)]
-        return params, lambda t: space.geodesic(cset.start, cset.end, t)
-    if isinstance(cset, AxisLine):
-        params = [-span + 2.0 * span * i / (samples - 1) for i in range(samples)]
-        # extra positive log grid: the interesting tail sits at large x
-        k = max(2, samples // 4)
-        params += [math.exp(math.log(span) * i / (k - 1)) for i in range(k)]
-        params = sorted(set(params))
-        return params, lambda u: PlanePoint(u, 0.0)
-    if isinstance(cset, Epigraph):
-        lo, hi = math.log(1.0 / span), math.log(span)
-        params = [math.exp(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
-        return params, lambda u: PlanePoint(u, cset.boundary_height(u))
-    if isinstance(cset, CrossDisc):
-        h = space.disc_heights[cset.disc_index]
-        pts = [ChainPoint(0.0, 0.0, h)]
-        for i in range(samples):
-            ang = 2.0 * math.pi * i / samples
-            pts.append(ChainPoint(space.radius * math.cos(ang), space.radius * math.sin(ang), h))
-        return None, pts
-    raise TypeError(f"cannot sample {type(cset).__name__}")
-
-
-def set_distance(space, set_a: ConvexSet, set_b: ConvexSet, span: float = 1024.0) -> float:
-    """Estimate (from above) the distance between two projectable sets.
-
-    Every value d(a, P_B(a)) is an exact point-to-set distance, so the
-    minimum over sampled points of A can only overestimate the true set
-    distance; a golden-section refinement over A's parameter tightens it.
-    Pairs of leg-confined tree segments are resolved in closed form instead.
-    """
-    if set_a == set_b:
-        return 0.0
-    if (isinstance(set_a, Segment) and isinstance(set_b, Segment)
-            and isinstance(space, ProductSpace)
-            and isinstance(space.left, StarTree) and isinstance(space.right, StarTree)):
-        try:
-            return _segment_segment_tree_exact(space, set_a, set_b)
-        except UnsupportedShapeError:
-            pass
-
-    def gap(p) -> float:
-        return project(space, set_b, p).distance
-
-    params, make = _default_param_grid(space, set_a, span)
-    if params is None:
-        return min(gap(p) for p in make)
-
-    gaps = [gap(make(u)) for u in params]
-    best_idx = min(range(len(params)), key=gaps.__getitem__)
-    best = gaps[best_idx]
-
-    # golden-section refinement between the neighbors of the best sample
-    _, _, fc, fd = _golden_section(lambda u: gap(make(u)), params[max(0, best_idx - 1)],
-                                   params[min(len(params) - 1, best_idx + 1)], 1e-10)
-    return min(best, fc, fd)

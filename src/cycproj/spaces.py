@@ -319,10 +319,6 @@ class ChainPoint:
         _require_finite("v", self.v)
         _require_finite("height", self.height)
 
-    @property
-    def disc(self) -> tuple[float, float]:
-        return (self.u, self.v)
-
 
 _RADIUS_SLACK = 1e-12
 # Heights are normalized to [0, circumference), so |dh| < circumference and

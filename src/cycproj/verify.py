@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import iterate, two_set_diagnostics
+from .engine import cycle_apply, iterate, two_set_diagnostics
 from .projections import (
     AxisLine,
     CrossDisc,
@@ -400,8 +400,7 @@ def tripod_certificates(samples: int = 50) -> list[CheckResult]:
         x = space.geodesic(c1.start, c1.end, float(t))
         y = x
         for _ in range(2):
-            for cset in reversed(scenario.sets):
-                y = project(space, cset, y).point
+            y, _ = cycle_apply(space, scenario.sets, y)
         worst_invol = max(worst_invol, space.distance(x, y))
     checks.append(CheckResult("tripod-cycle-involution", worst_invol <= 1e-9,
                               worst_invol, 1e-9, detail="P(P(x)) = x on the first segment"))
@@ -427,9 +426,7 @@ def chain_certificates(samples: int = 20, powers: int = 20) -> list[CheckResult]
         rad = chain.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         x = ChainPoint(rad * math.cos(ang), rad * math.sin(ang), 0.0)
-        y = x
-        for cset in reversed(scenario.sets):
-            y = project(chain, cset, y).point
+        y, _ = cycle_apply(chain, scenario.sets, x)
         expected = ChainPoint(
             math.cos(alpha) * x.u - math.sin(alpha) * x.v,
             math.sin(alpha) * x.u + math.cos(alpha) * x.v,

@@ -133,15 +133,6 @@ class TestIterate:
         assert {0, 1, 50, 51, 100, 101, 150, 151, 200} <= kept
         assert len(trace.r) == 200  # scalars never decimated
 
-    def test_intermediates_recorded_for_small_runs(self, tripod):
-        trace = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 5)
-        assert trace.intermediates is not None
-        assert len(trace.intermediates) == 5
-        assert all(len(mids) == 3 for mids in trace.intermediates)
-        scenario = build_plane_two_sets(0.5)
-        big = iterate(scenario.space, scenario.sets, scenario.start(), 1_500)
-        assert big.intermediates is None
-
     def test_partial_trace_on_numerical_failure(self):
         scenario = build_plane_two_sets(1.0)
         trace = iterate(scenario.space, scenario.sets, PlanePoint(1e300, 0.0), 10)
@@ -174,7 +165,6 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", s
     s_arr, b_arr = np.full(n, np.nan), np.full(n, np.nan)
     a_arr = np.full(n + 1, np.nan)
     point_indices, points = [0], [start]
-    inters = [] if cycles <= 1_000 else None
     distance = space.distance
     x, y_prev, failure, completed = start, None, None, n
     for i in range(n):
@@ -193,8 +183,6 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", s
         if (i + 1) % stride <= 1 or i + 1 == n:
             point_indices.append(i + 1)
             points.append(x_next)
-            if inters is not None:
-                inters.append(mids)
         x = x_next
     if failure is not None:
         r, s_arr, b_arr = r[:completed], s_arr[:completed], b_arr[:completed]
@@ -204,7 +192,7 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", s
             points.append(x)
     return Trace(space=space, sets=sets, start=start, requested=n, stride=stride, r=r,
                  point_indices=np.asarray(point_indices, dtype=np.int64), points=points,
-                 s=s_arr, a=a_arr, b=b_arr, intermediates=inters,
+                 s=s_arr, a=a_arr, b=b_arr,
                  failed=failure is not None, failure=failure)
 
 
@@ -215,7 +203,7 @@ def outcome(run, *args, **kwargs):
     except Exception as exc:  # the two loops must raise alike, too
         return ("raised", type(exc), str(exc))
     return (t.r.tobytes(), t.s.tobytes(), t.a.tobytes(), t.b.tobytes(), repr(t.points),
-            repr(t.intermediates), t.point_indices.tolist(), t.stride, t.failed, t.failure)
+            t.point_indices.tolist(), t.stride, t.failed, t.failure)
 
 
 KERNEL_STARTS = [
@@ -241,7 +229,7 @@ class TestAxisEpigraphKernel:
         for start in (PlanePoint(1.3, 0.0), PlanePoint(-3.0, 2.0)):
             kernel = outcome(iterate, space, sets, start, 1200, stride=7)
             assert kernel == outcome(reference_iterate, space, sets, start, 1200, stride=7)
-            assert kernel[6][:4] == [0, 1, 7, 8]
+            assert kernel[5][:4] == [0, 1, 7, 8]
 
     def test_mid_run_failure_appends_the_last_point(self):
         # six ulps below 2**23 the steps move x by one ulp until x reaches
@@ -251,7 +239,7 @@ class TestAxisEpigraphKernel:
         start = PlanePoint(2.0**23 - 6 * 2.0**-30, 0.0)
         kernel = outcome(iterate, space, sets, start, 50, stride=4)
         assert kernel == outcome(reference_iterate, space, sets, start, 50, stride=4)
-        assert kernel[8] and kernel[6] == [0, 1, 4, 5, 6]
+        assert kernel[7] and kernel[5] == [0, 1, 4, 5, 6]
 
     @pytest.mark.parametrize("start, kwargs, error, match", [
         ("1.3,0", {}, TypeError, "expected PlanePoint, got str"),

@@ -482,11 +482,19 @@ class TestSetDistance:
         c1 = tripod.sets[0]
         assert set_distance(tripod.space, c1, c1) == 0.0
 
-    def test_axis_epigraph_gap_decreases_toward_one(self):
-        eps = Epigraph(1.0)
-        gaps = [set_distance(PLANE, AxisLine(), eps, span=s) for s in (10.0, 100.0, 1000.0)]
-        assert gaps[0] > gaps[1] > gaps[2] > 1.0
-        assert gaps[2] == pytest.approx(1.0, abs=1e-2)
+    @pytest.mark.parametrize("space, set_a, set_b", [
+        pytest.param(PLANE, AxisLine(), Epigraph(1.0), id="axis-epigraph"),
+        pytest.param(
+            ProductSpace(StarTree.unit(3), StarTree.unit(3)),
+            Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.2)),
+                    ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.2))),
+            Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.8)),
+                    ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.8))),
+            id="segments-through-center"),
+    ])
+    def test_unsupported_pairs_raise(self, space, set_a, set_b):
+        with pytest.raises(UnsupportedShapeError):
+            set_distance(space, set_a, set_b)
 
 
 class TestProjectionProperties:
