@@ -37,7 +37,6 @@ from .projections import (
 )
 from .scenarios import (
     SCENARIO_BUILDERS,
-    Expected,
     Scenario,
     build_plane_two_lines,
     build_plane_two_sets,
@@ -69,7 +68,6 @@ __all__ = [
     "ConvexSet",
     "CrossDisc",
     "Epigraph",
-    "Expected",
     "NumericalFailureError",
     "Plane",
     "PlanePoint",

@@ -186,47 +186,47 @@ def _out_path(args: argparse.Namespace, scenario: Scenario) -> str:
 # Commands
 
 
-def _write_trace(args: argparse.Namespace, trace, summary: dict, path: str) -> None:
+def _run(args: argparse.Namespace):
+    """Run one scenario as the run options say; the body of run, rate and sweep.
+
+    Returns ``(scenario, start_label, trace, fit, summary)``: ``fit`` is the
+    rate fit over ``args.rate_window``, or None without one.  A run that fails
+    on its first cycle has nothing to classify, so its summary says why.
+    """
+    scenario, start, start_label = _scenario_and_start(args)
+    trace = iterate(scenario.space, scenario.sets, start, args.n,
+                    tol=args.tol, stride=args.stride)
+    if trace.completed == 0:
+        summary = {"scenario": scenario.name, "n": 0, "failed": True,
+                   "failure": trace.failure}
+        return scenario, start_label, trace, None, summary
+    fit = None if args.rate_window is None else rate_fit(trace, tuple(args.rate_window))
+    summary = traceio.summary_dict(trace, verdict(trace), scenario=scenario.name,
+                                   params=dict(scenario.params),
+                                   slope=None if fit is None else fit.slope)
+    return scenario, start_label, trace, fit, summary
+
+
+def _execute_run(args: argparse.Namespace) -> int:
+    """Run, write the trace file and report; returns the exit code."""
+    scenario, start_label, trace, fit, summary = _run(args)
+    path = _out_path(args, scenario)
     if args.format == "csv":
         traceio.write_trace_csv(trace, path)
     else:
         traceio.write_trace_json(trace, summary, path)
-
-
-def _execute_run(args: argparse.Namespace):
-    """Shared run/rate body; returns (exit_code, summary dict)."""
-    scenario, start, start_label = _scenario_and_start(args)
-    trace = iterate(scenario.space, scenario.sets, start, args.n,
-                    tol=args.tol, stride=args.stride)
-    path = _out_path(args, scenario)
     if trace.completed == 0:
-        # No cycle to classify: the summary says why, the trace holds the start.
-        summary = {"scenario": scenario.name, "n": 0, "failed": True,
-                   "failure": trace.failure}
-        _write_trace(args, trace, summary, path)
         print(f"numerical failure on the first cycle: {trace.failure}; "
               f"partial trace written to {path}", file=sys.stderr)
-        return EXIT_NUMERICAL, summary
-    v = verdict(trace)
-
-    slope = None
-    window = getattr(args, "window", None) or args.rate_window
-    fit = None
-    if window is not None:
-        fit = rate_fit(trace, tuple(window))
-        slope = fit.slope
-
-    summary = traceio.summary_dict(trace, v, scenario=scenario.name,
-                                   params=dict(scenario.params), slope=slope)
-    _write_trace(args, trace, summary, path)
+        return EXIT_NUMERICAL
 
     slope_text = "n/a" if summary["slope"] is None else f"{summary['slope']:.6g}"
     print(f"scenario={scenario.name} n={trace.completed} start={start_label} "
-          f"verdict={v.classification} final_r={v.final_r:.9g} "
-          f"liminf_r={v.liminf_r:.9g} slope={slope_text} out={path}")
+          f"verdict={summary['verdict']} final_r={summary['final_r']:.9g} "
+          f"liminf_r={summary['liminf_r']:.9g} slope={slope_text} out={path}")
     if fit is not None:
-        lo = max(1, window[0])
-        hi = min(trace.completed - 1, window[1])
+        lo = max(1, args.rate_window[0])
+        hi = min(trace.completed - 1, args.rate_window[1])
         lo_val = math.sqrt(lo) * float(trace.r[lo])
         hi_val = math.sqrt(hi) * float(trace.r[hi])
         print(f"rate: slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
@@ -235,19 +235,14 @@ def _execute_run(args: argparse.Namespace):
     if trace.failed:
         print(f"numerical failure after {trace.completed} cycles: {trace.failure}; "
               f"partial trace written to {path}", file=sys.stderr)
-        return EXIT_NUMERICAL, summary
-    return EXIT_OK, summary
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    code, _ = _execute_run(args)
-    return code
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    if getattr(args, "window", None) is None:
-        args.window = (max(1, args.n // 10), args.n)
-    return _execute_run(args)[0]
+    # rate fits over --window, [n/10, n] by default; its --rate-window is unused
+    args.rate_window = args.window or (max(1, args.n // 10), args.n)
+    return _execute_run(args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -261,14 +256,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_worker(payload: tuple) -> dict:
     index, args = payload
-    scenario, start, _ = _scenario_and_start(args)
-    trace = iterate(scenario.space, scenario.sets, start, args.n,
-                    tol=args.tol, stride=args.stride)
-    v = verdict(trace)
-    summary = traceio.summary_dict(trace, v, scenario=scenario.name,
-                                   params=dict(scenario.params))
-    summary["grid_index"] = index
-    return summary
+    try:
+        summary = _run(args)[-1]
+    except Exception as exc:  # per-run failures recorded, sweep continues
+        return {"grid_index": index, "error": str(exc)}
+    return {**summary, "grid_index": index}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -280,18 +272,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     payloads = [(i, argparse.Namespace(**{**vars(args), args.param: value}))
                 for i, value in enumerate(grid)]
 
-    results: list[dict | None] = [None] * len(payloads)
-    errors = 0
     if args.jobs > 1 and payloads:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, outcome in enumerate(pool.map(_try_sweep_worker, payloads)):
-                results[index] = outcome
+            results = list(pool.map(_sweep_worker, payloads))
     else:
-        for index, payload in enumerate(payloads):
-            results[index] = _try_sweep_worker(payload)
-    for outcome in results:
-        if "error" in outcome or outcome.get("failed"):
-            errors += 1
+        results = [_sweep_worker(payload) for payload in payloads]
+    errors = sum(1 for outcome in results if "error" in outcome or outcome.get("failed"))
 
     scenario_label = args.scenario
     out = args.out or os.path.join(os.environ.get("CYCPROJ_OUT_DIR", "."),
@@ -303,15 +289,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if errors == 0 else EXIT_NUMERICAL
 
 
-def _try_sweep_worker(payload: tuple) -> dict:
-    try:
-        return _sweep_worker(payload)
-    except Exception as exc:  # per-run failures recorded, sweep continues
-        return {"grid_index": payload[0], "error": str(exc)}
-
-
 _COMMANDS = {
-    "run": cmd_run,
+    "run": _execute_run,
     "verify": cmd_verify,
     "rate": cmd_rate,
     "sweep": cmd_sweep,

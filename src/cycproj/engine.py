@@ -95,10 +95,6 @@ class Trace:
         """Number of cycles actually run."""
         return len(self.r)
 
-    @property
-    def final_r(self) -> float:
-        return float(self.r[-1])
-
 
 def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12,
                 method: str = "auto"):
@@ -289,15 +285,21 @@ class TwoSetReport:
                 and self.monotone_ok and self.sum_ok)
 
 
-def two_set_diagnostics(trace: Trace, *, chain_slack: float = 1e-12,
-                        energy_slack: float = 1e-12,
-                        sum_slack: float = 1e-9) -> TwoSetReport:
+# Rounding allowances of the two-set inequalities: CHAIN_SLACK for both
+# chains and the monotonicity of r, ENERGY_SLACK for the energy bound and
+# SUM_SLACK for the summed bound.
+CHAIN_SLACK = 1e-12
+ENERGY_SLACK = 1e-12
+SUM_SLACK = 1e-9
+
+
+def two_set_diagnostics(trace: Trace) -> TwoSetReport:
     """Verify the interleaved step-size inequalities of a two-set trace.
 
     Checks, for n >= 1: the nonexpansiveness chain s_n >= r_n >= s_{n+1},
     the set-gap chain a_n >= b_n >= a_{n+1}, the energy bound
     r_n^2 <= b_n^2 - a_{n+1}^2, monotonicity of r, and the summed bound
-    sum_{n>=1} r_n^2 <= b_1^2.
+    sum_{n>=1} r_n^2 <= b_1^2, each within its slack above.
     """
     if trace.k != 2:
         raise ValueError(f"two-set diagnostics need a 2-set trace, got k={trace.k}")
@@ -324,7 +326,7 @@ def two_set_diagnostics(trace: Trace, *, chain_slack: float = 1e-12,
 
     sum_r_sq = float(np.sum(r[1:n] ** 2)) if n >= 2 else 0.0
     b1_sq = float(b[1] ** 2) if n >= 2 else inf
-    sum_margin = b1_sq + sum_slack - sum_r_sq
+    sum_margin = b1_sq + SUM_SLACK - sum_r_sq
 
     return TwoSetReport(
         cycles=n,
@@ -334,10 +336,10 @@ def two_set_diagnostics(trace: Trace, *, chain_slack: float = 1e-12,
         monotone_margin=mono_margin,
         sum_r_sq=sum_r_sq,
         b1_sq=b1_sq,
-        step_chain_ok=step_margin >= -chain_slack,
-        gap_chain_ok=gap_margin >= -chain_slack,
-        energy_ok=energy_margin >= -energy_slack,
-        monotone_ok=mono_margin >= -chain_slack,
+        step_chain_ok=step_margin >= -CHAIN_SLACK,
+        gap_chain_ok=gap_margin >= -CHAIN_SLACK,
+        energy_ok=energy_margin >= -ENERGY_SLACK,
+        monotone_ok=mono_margin >= -CHAIN_SLACK,
         sum_ok=sum_margin >= 0.0,
     )
 
@@ -394,22 +396,26 @@ class RegularityVerdict:
     rate_slope: float | None = None
 
 
+_R_TOL = 1e-6
+_TAIL_FRACTION = 0.2
+_MONO_SLACK = 1e-12
 _FLAT_REL_TOL = 1e-6
 
 
-def verdict(trace: Trace, r_tol: float = 1e-6, tail_fraction: float = 0.2, *,
-            mono_slack: float = 1e-12) -> RegularityVerdict:
+def verdict(trace: Trace) -> RegularityVerdict:
     """Classify a trace as Regular, NotRegular, or Inconclusive.
 
-    Regular: the final step is below ``r_tol`` and the tail is non-increasing
-    (within ``mono_slack``).  NotRegular: every tail step exceeds
-    ``10 * r_tol`` and the tail is flat to relative 1e-6 -- evidence of a
-    positive liminf, whose estimate is the tail minimum.
+    The tail is the last ``_TAIL_FRACTION`` of the steps r_1, r_2, ....
+    Regular: the final step is below ``_R_TOL`` and the tail is
+    non-increasing (within ``_MONO_SLACK``).  NotRegular: every tail step
+    exceeds ``10 * _R_TOL`` and the tail is flat to relative
+    ``_FLAT_REL_TOL`` -- evidence of a positive liminf, whose estimate is
+    the tail minimum.
     """
     if trace.completed == 0:
         raise ValueError("cannot classify an empty trace")
     rs = trace.r[1:] if trace.completed >= 2 else trace.r
-    tail_len = max(1, math.ceil(tail_fraction * len(rs)))
+    tail_len = max(1, math.ceil(_TAIL_FRACTION * len(rs)))
     tail = rs[-tail_len:]
     tail_min = float(np.min(tail))
     tail_max = float(np.max(tail))
@@ -421,10 +427,10 @@ def verdict(trace: Trace, r_tol: float = 1e-6, tail_fraction: float = 0.2, *,
         idx = np.arange(first_idx, trace.completed, dtype=float)
         slope = float(np.polyfit(np.log(idx), np.log(tail), 1)[0])
 
-    non_increasing = bool(np.all(np.diff(tail) <= mono_slack)) if len(tail) >= 2 else True
-    if final_r < r_tol and non_increasing:
+    non_increasing = bool(np.all(np.diff(tail) <= _MONO_SLACK)) if len(tail) >= 2 else True
+    if final_r < _R_TOL and non_increasing:
         cls = "Regular"
-    elif tail_min >= 10.0 * r_tol and tail_max - tail_min <= _FLAT_REL_TOL * tail_max:
+    elif tail_min >= 10.0 * _R_TOL and tail_max - tail_min <= _FLAT_REL_TOL * tail_max:
         cls = "NotRegular"
     else:
         cls = "Inconclusive"

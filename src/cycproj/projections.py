@@ -548,13 +548,10 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
     The squared distance is a single quadratic in the two parameters
     (squares absorb the |.| kinks factorwise), minimized over the unit
     square by checking the interior stationary point and the four edges.
-    Equal sets are at distance 0.  Any other pair raises
-    :class:`UnsupportedShapeError`: a set that is not a segment, a space
-    that is not a product of star trees, or a segment whose coordinate
-    crosses a tree center.
+    Every other pair raises :class:`UnsupportedShapeError`, two equal sets
+    included: a set that is not a segment, a space that is not a product of
+    star trees, or a segment whose coordinate crosses a tree center.
     """
-    if set_a == set_b:
-        return 0.0
     if not (isinstance(set_a, Segment) and isinstance(set_b, Segment)):
         raise UnsupportedShapeError(
             f"set_distance covers only pairs of segments, got {type(set_a).__name__} "

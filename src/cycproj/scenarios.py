@@ -1,7 +1,7 @@
 """Named builders for the benchmark configurations.
 
-Each scenario fixes a space, an ordered list of convex sets, labelled start
-points, and a descriptor of the expected step-size behavior:
+Each scenario fixes a space, an ordered list of convex sets and labelled
+start points:
 
 * ``tripod`` -- three unit segments of slope -1 inside a product of two
   3-leg unit trees.  The cycle maps the first segment onto itself
@@ -30,7 +30,6 @@ from .projections import AxisLine, ConvexSet, CrossDisc, Epigraph, Segment
 from .spaces import Plane, PlanePoint, ProductPoint, ProductSpace, StarPoint, StarTree, TwistedChain
 
 __all__ = [
-    "Expected",
     "Scenario",
     "build_tripod_counterexample",
     "build_plane_two_sets",
@@ -44,28 +43,12 @@ HALF_WIDTH = math.sqrt(2.0) / 4.0  # half-width of the tripod segments
 
 
 @dataclass(frozen=True)
-class Expected:
-    """Declared step-size behavior of a scenario.
-
-    ``kind`` is one of ``not_regular`` (steps bounded below by
-    ``step_bound``), ``regular`` (steps vanish), or ``regular_with_rate``
-    (steps vanish with the rate described in ``rate``).
-    """
-
-    kind: str
-    step_bound: float | None = None
-    rate: str | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     space: object
     sets: tuple[ConvexSet, ...]
     starts: Mapping[str, object]
     default_start: str
-    expected: Expected
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -114,21 +97,12 @@ def build_tripod_counterexample(k: int = 3) -> Scenario:
         "midpoint": ProductPoint(StarPoint(0, 0.5), StarPoint(0, 0.5)),
         "center": ProductPoint(StarPoint(0, 0.0), StarPoint(0, 0.0)),
     }
-    expected = Expected(
-        kind="not_regular",
-        step_bound=1.0,
-        note=(
-            "the cycle maps the first segment to itself isometrically while "
-            "swapping its endpoints, so from an endpoint every step has length 1"
-        ),
-    )
     return Scenario(
         name="tripod",
         space=space,
         sets=sets,
         starts=starts,
         default_start="endpoint",
-        expected=expected,
         params={"k": k},
     )
 
@@ -137,21 +111,12 @@ def build_plane_two_sets(epsilon: float = 0.5) -> Scenario:
     """The x-axis against the region above y = 1 + x**(-epsilon)."""
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    expected = Expected(
-        kind="regular_with_rate",
-        rate="o(1/sqrt(n))",
-        note=(
-            "the sets come together only at infinity; steps shrink faster "
-            "than 1/sqrt(n) but slower than any power n**(-1/2-delta)"
-        ),
-    )
     return Scenario(
         name="plane-two-sets",
         space=Plane(),
         sets=(AxisLine(), Epigraph(epsilon)),
         starts={"unit": PlanePoint(1.0, 0.0), "origin": PlanePoint(0.0, 0.0)},
         default_start="unit",
-        expected=expected,
         params={"epsilon": epsilon},
     )
 
@@ -166,18 +131,6 @@ def build_twisted_chain(alpha: float = 1.0, radius: float = 0.1,
     twist angle.
     """
     chain = TwistedChain(radius=radius, circumference=circumference, twist=alpha)
-    bound = 2.0 * radius * abs(math.sin(alpha / 2.0))
-    if bound > 1e-15:
-        expected = Expected(
-            kind="not_regular",
-            step_bound=bound,
-            note=(
-                "one cycle rotates the bottom disc by the twist angle, so a "
-                "boundary point steps by the constant chord 2*radius*|sin(alpha/2)|"
-            ),
-        )
-    else:
-        expected = Expected(kind="regular", note="an untwisted chain gives the identity cycle")
     return Scenario(
         name="twisted-chain",
         space=chain,
@@ -188,7 +141,6 @@ def build_twisted_chain(alpha: float = 1.0, radius: float = 0.1,
             "core": chain.point(0.0, 0.0, 0.0),
         },
         default_start="boundary",
-        expected=expected,
         params={"alpha": alpha, "radius": radius, "circumference": circumference},
     )
 
@@ -210,18 +162,12 @@ def build_plane_two_lines(theta: float = math.pi / 4.0) -> Scenario:
         PlanePoint(-_LINE_REACH * c, -_LINE_REACH * s),
         PlanePoint(_LINE_REACH * c, _LINE_REACH * s),
     )
-    expected = Expected(
-        kind="regular",
-        rate=f"geometric, ratio cos(theta)^2 = {c * c!r}",
-        note="the two lines meet at the origin; alternating projections contract geometrically",
-    )
     return Scenario(
         name="two-lines",
         space=Plane(),
         sets=(AxisLine(), line),
         starts={"unit": PlanePoint(1.0, 0.0), "origin": PlanePoint(0.0, 0.0)},
         default_start="unit",
-        expected=expected,
         params={"theta": theta},
     )
 

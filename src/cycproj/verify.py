@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import cycle_apply, iterate, two_set_diagnostics
+from .engine import CHAIN_SLACK, ENERGY_SLACK, SUM_SLACK, cycle_apply, iterate, two_set_diagnostics
 from .projections import (
     AxisLine,
     CrossDisc,
@@ -332,18 +332,18 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
     trace = iterate(scenario.space, scenario.sets, scenario.start(), 10_000)
     report = two_set_diagnostics(trace)
     checks.append(CheckResult("two-set-step-chain", report.step_chain_ok,
-                              -report.step_chain_margin, 1e-12,
+                              -report.step_chain_margin, CHAIN_SLACK,
                               detail="s/r interleaving, plane-two-sets(0.5)"))
     checks.append(CheckResult("two-set-gap-chain", report.gap_chain_ok,
-                              -report.gap_chain_margin, 1e-12,
+                              -report.gap_chain_margin, CHAIN_SLACK,
                               detail="a/b interleaving"))
     checks.append(CheckResult("two-set-energy", report.energy_ok,
-                              -report.energy_margin, 1e-12,
+                              -report.energy_margin, ENERGY_SLACK,
                               detail="r_n^2 <= b_n^2 - a_{n+1}^2"))
     checks.append(CheckResult("two-set-monotone", report.monotone_ok,
-                              -report.monotone_margin, 1e-12))
+                              -report.monotone_margin, CHAIN_SLACK))
     checks.append(CheckResult("two-set-energy-sum", report.sum_ok,
-                              report.sum_r_sq - report.b1_sq, 1e-9,
+                              report.sum_r_sq - report.b1_sq, SUM_SLACK,
                               detail="sum r_n^2 - b_1^2"))
 
     lines = build_plane_two_lines(math.pi / 4.0)
@@ -351,7 +351,7 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
     report = two_set_diagnostics(trace)
     checks.append(CheckResult("two-lines-chains", report.passed,
                               -min(report.step_chain_margin, report.gap_chain_margin,
-                                   report.energy_margin), 1e-12))
+                                   report.energy_margin), max(CHAIN_SLACK, ENERGY_SLACK)))
     ratios = trace.r[1:] / trace.r[:-1]
     worst_ratio = float(np.max(np.abs(ratios - 0.5)))
     checks.append(CheckResult("two-lines-geometric-ratio", worst_ratio <= 1e-9,
@@ -363,7 +363,12 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
 # Counterexample suite
 
 
-def tripod_certificates(samples: int = 50) -> list[CheckResult]:
+_TRIPOD_SAMPLES = 50  # points along each segment
+_CHAIN_SAMPLES = 20   # random points of the bottom disc
+_CHAIN_POWERS = 20    # cycle powers P^m checked, m = 1.._CHAIN_POWERS
+
+
+def tripod_certificates() -> list[CheckResult]:
     """Isometry, orientation, involution, and disjointness certificates."""
     scenario = build_tripod_counterexample(3)
     space = scenario.space
@@ -375,8 +380,8 @@ def tripod_certificates(samples: int = 50) -> list[CheckResult]:
     worst_slope = 0.0
     pairs = [(c2, c1), (c3, c2), (c1, c3)]
     for source, target in pairs:
-        params = np.linspace(0.0, 1.0, samples)
-        for i in range(samples - 1):
+        params = np.linspace(0.0, 1.0, _TRIPOD_SAMPLES)
+        for i in range(_TRIPOD_SAMPLES - 1):
             t0, t1 = float(params[i]), float(params[i + 1])
             x0 = space.geodesic(source.start, source.end, t0)
             x1 = space.geodesic(source.start, source.end, t1)
@@ -413,7 +418,7 @@ def tripod_certificates(samples: int = 50) -> list[CheckResult]:
     return checks
 
 
-def chain_certificates(samples: int = 20, powers: int = 20) -> list[CheckResult]:
+def chain_certificates() -> list[CheckResult]:
     """Rotation certificates for the twisted-chain cycle."""
     scenario = build_twisted_chain(alpha=1.0, radius=0.1, circumference=3.0)
     chain = scenario.space
@@ -422,7 +427,7 @@ def chain_certificates(samples: int = 20, powers: int = 20) -> list[CheckResult]
 
     worst_rot = 0.0
     rng = np.random.default_rng(7)
-    for _ in range(samples):
+    for _ in range(_CHAIN_SAMPLES):
         rad = chain.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         x = ChainPoint(rad * math.cos(ang), rad * math.sin(ang), 0.0)
@@ -440,7 +445,7 @@ def chain_certificates(samples: int = 20, powers: int = 20) -> list[CheckResult]
 
     worst_step = 0.0
     start = scenario.start("boundary")
-    for m in range(1, powers + 1):
+    for m in range(1, _CHAIN_POWERS + 1):
         sets_m = scenario.sets * m
         trace = iterate(chain, sets_m, start, 40)
         target = 2.0 * chain.radius * abs(math.sin(m * alpha / 2.0))

@@ -10,6 +10,7 @@ import pytest
 from cycproj.cli import main
 from cycproj.scenarios import build_scenario
 from cycproj.traceio import read_trace_csv
+from cycproj.verify import run_suite
 
 
 def run_cli(*argv) -> int:
@@ -191,11 +192,31 @@ class TestRate:
 
 
 class TestVerify:
-    def test_two_set_suite_passes(self, capsys):
-        assert run_cli("verify", "two-set") == 0
+    @pytest.mark.parametrize("suite", ["two-set", "counterexamples"])
+    def test_claim_suite_passes(self, suite, capsys):
+        assert run_cli("verify", suite) == 0
         text = capsys.readouterr().out
         assert "checks passed" in text
         assert "FAIL" not in text
+
+    def test_claim_suite_bounds_are_pinned(self):
+        tols = {r.name: r.tol for suite in ("two-set", "counterexamples")
+                for r in run_suite(suite)}
+        assert tols == {
+            "two-set-step-chain": 1e-12,
+            "two-set-gap-chain": 1e-12,
+            "two-set-energy": 1e-12,
+            "two-set-monotone": 1e-12,
+            "two-set-energy-sum": 1e-9,
+            "two-lines-chains": 1e-12,
+            "two-lines-geometric-ratio": 1e-9,
+            "tripod-projection-isometry": 1e-9,
+            "tripod-orientation-reversal": 1e-9,
+            "tripod-cycle-involution": 1e-9,
+            "tripod-pairwise-distance": 1e-6,
+            "chain-cycle-rotation": 1e-12,
+            "chain-power-steps": 1e-9,
+        }
 
     def test_unknown_suite(self, capsys):
         assert run_cli("verify", "bogus") == 2
@@ -255,6 +276,24 @@ class TestSweep:
                        "--out", str(tmp_path / "run.json")) == 0
         run = json.loads((tmp_path / "run.json").read_text())
         assert json.loads(out.read_text())[0]["final_r"] == run["final_r"]
+
+    @pytest.mark.parametrize("options", [
+        [],
+        ["--rate-window", "100", "2000"],
+        ["--start-coords", "1e300,0"],
+    ], ids=["default", "rate-window", "first-cycle-failure"])
+    def test_entry_matches_run_summary(self, tmp_path, options):
+        sweep_out, run_out = tmp_path / "sweep.json", tmp_path / "run.json"
+        sweep_code = run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.5",
+                             "--n", "2000", *options, "--out", str(sweep_out))
+        run_code = run_cli("run", "plane-two-sets", "--epsilon", "0.5", "--n", "2000",
+                           *options, "--format", "json", "--out", str(run_out))
+        assert sweep_code == run_code
+        [entry] = json.loads(sweep_out.read_text())
+        assert entry.pop("grid_index") == 0
+        payload = json.loads(run_out.read_text())
+        del payload["trace"]
+        assert entry == payload
 
     def test_failed_runs_recorded_and_exit_nonzero(self, tmp_path):
         out = tmp_path / "bad.json"

@@ -343,7 +343,7 @@ class TestRateFit:
 class TestVerdict:
     def test_tripod_not_regular(self, tripod):
         trace = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 100)
-        v = verdict(trace, r_tol=1e-6)
+        v = verdict(trace)
         assert v.classification == "NotRegular"
         assert v.liminf_r == pytest.approx(1.0, abs=1e-9)
         # the declared bound is honored by the stored points themselves

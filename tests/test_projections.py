@@ -331,8 +331,9 @@ class TestSegmentTreeExact:
 
     def test_set_distance_checks_segment_endpoints(self, tripod):
         short = ProductSpace(StarTree((0.4,) * 3), StarTree((0.4,) * 3))
-        with pytest.raises(ValueError, match="exceeds leg 0 length 0.4"):
-            set_distance(short, tripod.sets[0], tripod.sets[1])
+        for other in (tripod.sets[1], tripod.sets[0]):
+            with pytest.raises(ValueError, match="exceeds leg 0 length 0.4"):
+                set_distance(short, tripod.sets[0], other)
 
     def test_equal_distinct_segment_gives_identical_foot(self, tripod):
         space = tripod.space
@@ -484,6 +485,7 @@ class TestSetDistance:
 
     @pytest.mark.parametrize("space, set_a, set_b", [
         pytest.param(PLANE, AxisLine(), Epigraph(1.0), id="axis-epigraph"),
+        pytest.param(PLANE, AxisLine(), AxisLine(), id="equal-axes"),
         pytest.param(
             ProductSpace(StarTree.unit(3), StarTree.unit(3)),
             Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.2)),

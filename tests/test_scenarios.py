@@ -47,11 +47,6 @@ class TestTripodBuilder:
         for cset in scenario.sets[:3]:
             assert scenario.space.distance(cset.start, cset.end) == pytest.approx(1.0, abs=1e-12)
 
-    def test_expected_descriptor(self):
-        scenario = build_tripod_counterexample(3)
-        assert scenario.expected.kind == "not_regular"
-        assert scenario.expected.step_bound == 1.0
-
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             build_tripod_counterexample(2)
@@ -105,11 +100,6 @@ class TestPlaneTwoSetsBuilder:
         with pytest.raises(ValueError):
             build_plane_two_sets(-1.0)
 
-    def test_expected_rate(self):
-        scenario = build_plane_two_sets(0.5)
-        assert scenario.expected.kind == "regular_with_rate"
-        assert "sqrt" in scenario.expected.rate
-
 
 class TestTwistedChainBuilder:
     def test_cycle_rotates_bottom_disc(self):
@@ -144,13 +134,11 @@ class TestTwistedChainBuilder:
         trace = iterate(scenario.space, scenario.sets, scenario.start("boundary"), 200)
         target = 0.2 * math.sin(0.5)
         assert np.abs(trace.r - target).max() <= 1e-9
-        assert scenario.expected.step_bound == pytest.approx(target, abs=1e-15)
 
     def test_untwisted_chain_is_static(self):
         scenario = build_twisted_chain(alpha=0.0, radius=0.1, circumference=3.0)
         trace = iterate(scenario.space, scenario.sets, scenario.start("boundary"), 20)
         assert np.abs(trace.r).max() <= 1e-15
-        assert scenario.expected.kind == "regular"
 
     def test_quarter_turn_has_period_four(self):
         scenario = build_twisted_chain(alpha=math.pi / 2.0, radius=0.1, circumference=3.0)
