@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 on success, 2 on usage errors (unknown
 scenario or suite, bad parameters), 3 on numerical failure (the trace file
-is still written, truncated and flagged).  Options may also be supplied as
-``key=value`` lines in a config file; explicit flags win.  The only
-environment variable consulted is ``CYCPROJ_OUT_DIR`` (default output
+is still written, truncated and flagged).  A sweep exits 2 when any of its
+runs is a usage error, else 3 when any failed.  Options may also be
+supplied as ``key=value`` lines in a config file; explicit flags win.  The
+only environment variable consulted is ``CYCPROJ_OUT_DIR`` (default output
 directory).
 """
 
@@ -26,6 +27,9 @@ from .verify import run_suite, suite_names
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Exceptions that make a usage error, in main and in each sweep run.
+_USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError)
 
 _SCENARIO_PARAMS = ("epsilon", "alpha", "radius", "circumference", "theta", "k")
 
@@ -82,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="run a scenario and fit the decay rate")
     _add_run_options(p_rate)
-    p_rate.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"),
-                        default=None, help="fit window (defaults to [n/10, n])")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario over a parameter grid")
     _add_run_options(p_sweep)
@@ -240,8 +242,8 @@ def _execute_run(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    # rate fits over --window, [n/10, n] by default; its --rate-window is unused
-    args.rate_window = args.window or (max(1, args.n // 10), args.n)
+    # rate always fits: over --rate-window, or [n/10, n] without one
+    args.rate_window = args.rate_window or (max(1, args.n // 10), args.n)
     return _execute_run(args)
 
 
@@ -254,13 +256,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else 1
 
 
-def _sweep_worker(payload: tuple) -> dict:
+def _sweep_worker(payload: tuple) -> tuple[dict, int]:
+    """One grid run: its sweep entry and the exit code ``run`` would give it."""
     index, args = payload
     try:
         summary = _run(args)[-1]
     except Exception as exc:  # per-run failures recorded, sweep continues
-        return {"grid_index": index, "error": str(exc)}
-    return {**summary, "grid_index": index}
+        code = EXIT_USAGE if isinstance(exc, _USAGE_ERRORS) else EXIT_NUMERICAL
+        return {"grid_index": index, "error": str(exc)}, code
+    return {**summary, "grid_index": index}, EXIT_NUMERICAL if summary["failed"] else EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -274,10 +278,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.jobs > 1 and payloads:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+            outcomes = list(pool.map(_sweep_worker, payloads))
     else:
-        results = [_sweep_worker(payload) for payload in payloads]
-    errors = sum(1 for outcome in results if "error" in outcome or outcome.get("failed"))
+        outcomes = [_sweep_worker(payload) for payload in payloads]
+    results = [entry for entry, _ in outcomes]
+    codes = {code for _, code in outcomes}
+    errors = sum(code != EXIT_OK for _, code in outcomes)
 
     scenario_label = args.scenario
     out = args.out or os.path.join(os.environ.get("CYCPROJ_OUT_DIR", "."),
@@ -286,7 +292,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         json.dump(results, fh, sort_keys=True)
         fh.write("\n")
     print(f"sweep: {len(grid)} runs, {errors} failed, results in {out}")
-    return EXIT_OK if errors == 0 else EXIT_NUMERICAL
+    # a usage error outranks a numerical failure
+    return EXIT_USAGE if EXIT_USAGE in codes else max(codes, default=EXIT_OK)
 
 
 _COMMANDS = {
@@ -307,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("run", "rate", "sweep"):
             _merge_config(args)
         return _COMMANDS[args.command](args)
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,7 +34,6 @@ from .projections import (
     Epigraph,
     NumericalFailureError,
     _check_epigraph_args,
-    _METHODS,
     _epigraph_foot,
     project,
 )
@@ -62,8 +61,8 @@ class Trace:
 
     Scalar diagnostics are kept for every cycle; iterate points are stored
     at every ``stride``-th cycle (in adjacent pairs, so step sizes stay
-    recomputable from stored points) plus the final point.  Arrays follow
-    the indexing x_n = P^n(x):
+    recomputable from stored points) plus the start, as ``points[0]``, and
+    the final point.  Arrays follow the indexing x_n = P^n(x):
 
     * ``r[n] = d(x_n, x_{n+1})`` for ``0 <= n < completed``.
     * For two sets only, with ``y_{n+1} = P_2(x_n)``:
@@ -74,8 +73,6 @@ class Trace:
 
     space: object
     sets: tuple[ConvexSet, ...]
-    start: object
-    requested: int
     stride: int
     r: np.ndarray
     point_indices: np.ndarray
@@ -96,9 +93,8 @@ class Trace:
         return len(self.r)
 
 
-def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12,
-                method: str = "auto"):
-    """Apply one full cycle of projections, rightmost set first.
+def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12):
+    """Apply one full cycle of :func:`project` calls, rightmost set first.
 
     Returns ``(P(x), intermediates)`` where intermediates lists the k points
     in application order; the last one is P(x) itself.
@@ -107,16 +103,17 @@ def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12,
         raise ValueError("at least one convex set is required")
     intermediates = []
     for cset in reversed(sets):
-        x = project(space, cset, x, tol=tol, method=method).point
+        x = project(space, cset, x, tol=tol).point
         intermediates.append(x)
     return x, tuple(intermediates)
 
 
 def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
-            tol: float = 1e-12, method: str = "auto", stride: int | None = None) -> Trace:
+            tol: float = 1e-12, stride: int | None = None) -> Trace:
     """Run ``cycles`` cycles of the projection iteration from ``start``.
 
-    Deterministic: identical inputs produce bit-identical traces.  On a
+    Deterministic: identical inputs produce bit-identical traces, with each
+    solver picked from the space and the set as in :func:`project`.  On a
     numerical failure inside a projection the trace is returned truncated
     with ``failed`` set; domain and usage errors propagate.  The x-axis
     against an epigraph runs on the float kernel
@@ -134,11 +131,10 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         raise ValueError(f"stride must be >= 1, got {stride!r}")
 
     two_sets = len(sets) == 2
-    n = cycles
-    r = np.empty(n)
-    s_arr = np.full(n, np.nan) if two_sets else None
-    a_arr = np.full(n + 1, np.nan) if two_sets else None
-    b_arr = np.full(n, np.nan) if two_sets else None
+    r = np.empty(cycles)
+    s_arr = np.full(cycles, np.nan) if two_sets else None
+    a_arr = np.full(cycles + 1, np.nan) if two_sets else None
+    b_arr = np.full(cycles, np.nan) if two_sets else None
     point_indices: list[int] = [0]
     points: list = [start]
 
@@ -149,8 +145,8 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         cycles_of = _axis_epigraph_cycles
     else:
         cycles_of = _generic_cycles
-    completed, x, failure = cycles_of(space, sets, start, tol, method, stride, r, s_arr,
-                                      a_arr, b_arr, point_indices, points)
+    completed, x, failure = cycles_of(space, sets, start, tol, stride, r, s_arr, a_arr,
+                                      b_arr, point_indices, points)
 
     if failure is not None:
         r = r[:completed]
@@ -165,8 +161,6 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     return Trace(
         space=space,
         sets=sets,
-        start=start,
-        requested=n,
         stride=stride,
         r=r,
         point_indices=np.asarray(point_indices, dtype=np.int64),
@@ -179,7 +173,7 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     )
 
 
-def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
+def _generic_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
                     point_indices, points):
     """Fill a trace's arrays and point lists cycle by cycle through ``project``.
 
@@ -194,7 +188,7 @@ def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_
     y_prev = None
     for i in range(n):
         try:
-            x_next, mids = cycle_apply(space, sets, x, tol=tol, method=method)
+            x_next, mids = cycle_apply(space, sets, x, tol=tol)
         except NumericalFailureError as exc:
             return i, x, str(exc)
         r[i] = distance(x, x_next)
@@ -212,7 +206,7 @@ def _generic_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_
     return n, x, None
 
 
-def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_arr, b_arr,
+def _axis_epigraph_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
                           point_indices, points):
     """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
@@ -223,8 +217,6 @@ def _axis_epigraph_cycles(space, sets, start, tol, method, stride, r, s_arr, a_a
     so the trace is bitwise the generic loop's.  Points are built only where
     the trace stores them, and ``start`` is validated once, here.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     epsilon = sets[1].epsilon
     _check_epigraph_args(epsilon, tol)
     space._check(start)

@@ -495,33 +495,23 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
 # Dispatch
 
 
-_METHODS = ("auto", "exact", "generic")
+def project(space, cset: ConvexSet, x, tol: float = 1e-12) -> ProjectionResult:
+    """Project x onto cset within space, by the solver the space and the set select.
 
-
-def project(space, cset: ConvexSet, x, tol: float = 1e-12, method: str = "auto") -> ProjectionResult:
-    """Project x onto cset within space.
-
-    ``method`` selects the solver for segments: ``auto`` prefers the
-    certified closed forms and falls back to the generic search, ``exact``
-    requires a closed form, ``generic`` forces golden section.  Other set
-    kinds always use their exact projector.
+    A plane segment takes the closed form, a tree-product segment the exact
+    projector (golden section when a coordinate crosses a tree center), any
+    other segment golden section, and every other set its exact projector.
+    To force a segment solver, call :func:`project_segment_generic` or
+    :func:`project_segment_tree_exact` directly.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if isinstance(cset, Segment):
-        if method == "generic":
-            return project_segment_generic(space, cset, x, tol)
         if isinstance(space, Plane):
             return _project_segment_plane(cset, x)
         if isinstance(space, ProductSpace):
             try:
                 return project_segment_tree_exact(space, cset, x)
             except UnsupportedShapeError:
-                if method == "exact":
-                    raise
-                return project_segment_generic(space, cset, x, tol)
-        if method == "exact":
-            raise UnsupportedShapeError(f"no exact segment projector for {type(space).__name__}")
+                pass
         return project_segment_generic(space, cset, x, tol)
     if isinstance(cset, AxisLine):
         if not isinstance(space, Plane):

@@ -70,10 +70,10 @@ def _clean(value):
 
 def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
                  params: dict, slope: float | None = None) -> dict:
-    """The stable machine-readable run summary."""
+    """The stable machine-readable run summary; a failed run adds its ``failure`` text."""
     r = trace.r
     sum_r_sq = float(np.sum(r[1:] ** 2)) if trace.completed >= 2 else 0.0
-    return {
+    summary = {
         "scenario": scenario,
         "params": {k: int(val) if isinstance(val, numbers.Integral) else _clean(float(val))
                    for k, val in params.items()},
@@ -85,6 +85,9 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
         "sums": {"r_sq": sum_r_sq},
         "failed": trace.failed,
     }
+    if trace.failed:
+        summary["failure"] = trace.failure
+    return summary
 
 
 def _array_json(arr) -> list | None:

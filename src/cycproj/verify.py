@@ -56,6 +56,13 @@ from .spaces import (
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
 
+_METRIC_SAMPLES = 10_000     # random tuples per metric check
+_PROJECTION_PAIRS = 10_000   # random pairs per projection target
+_PROJECTION_INPUTS = 1_000   # random points per projection target
+_TRIPOD_SAMPLES = 50         # points along each segment
+_CHAIN_SAMPLES = 20          # random points of the bottom disc
+_CHAIN_POWERS = 20           # cycle powers P^m checked, m = 1.._CHAIN_POWERS
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -114,14 +121,14 @@ def _spaces_with_samplers():
 # Metric suite
 
 
-def suite_metric(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
+def suite_metric(seed: int = 0) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     for label, space, sampler in _spaces_with_samplers():
         rng = np.random.default_rng(seed)
         worst_sym = 0.0
         worst_tri = 0.0
-        for _ in range(samples):
+        for _ in range(_METRIC_SAMPLES):
             p, q, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
             dpq, dqp = space.distance(p, q), space.distance(q, p)
             worst_sym = max(worst_sym, abs(dpq - dqp))
@@ -136,7 +143,7 @@ def suite_metric(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
             continue
         rng = np.random.default_rng(seed + 1)
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(_METRIC_SAMPLES):
             p, q = sampler(rng, space), sampler(rng, space)
             t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2).tolist())
             g1, g2 = space.geodesic(p, q, t1), space.geodesic(p, q, t2)
@@ -147,7 +154,7 @@ def suite_metric(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
     tree = StarTree.unit(3)
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(_METRIC_SAMPLES):
         p, q = _star_point(rng, tree), _star_point(rng, tree)
         if p.leg == q.leg:
             continue
@@ -161,7 +168,7 @@ def suite_metric(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
             continue  # the CN suites of record are the plane and the product
         rng = np.random.default_rng(seed + 3)
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(_METRIC_SAMPLES):
             x, y, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
             worst = min(worst, cn_check(space, x, y, z))
         checks.append(CheckResult(f"cn-margin[{label}]", worst >= -1e-12,
@@ -172,7 +179,7 @@ def suite_metric(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
     c, s = math.cos(chain.twist), math.sin(chain.twist)
-    for _ in range(samples):
+    for _ in range(_METRIC_SAMPLES):
         p, q = _chain_point(rng, chain), _chain_point(rng, chain)
         # Another representative of q: one loop up, disc carried by the holonomy.
         q2 = chain.point(c * q.u - s * q.v, s * q.u + c * q.v,
@@ -251,8 +258,7 @@ def _projection_targets(rng):
     return targets
 
 
-def suite_projections(seed: int = 0, pairs: int = 10_000,
-                      inputs: int = 1_000) -> list[CheckResult]:
+def suite_projections(seed: int = 0) -> list[CheckResult]:
     checks: list[CheckResult] = []
     rng_sets = np.random.default_rng(seed + 100)
     targets = _projection_targets(rng_sets)
@@ -261,7 +267,7 @@ def suite_projections(seed: int = 0, pairs: int = 10_000,
     worst_idem_at = ""
     for label, space, cset, sampler in targets:
         rng = np.random.default_rng(seed)
-        for _ in range(inputs):
+        for _ in range(_PROJECTION_INPUTS):
             x = sampler(rng, space)
             px = project(space, cset, x).point
             err = space.distance(project(space, cset, px).point, px)
@@ -274,7 +280,7 @@ def suite_projections(seed: int = 0, pairs: int = 10_000,
     worst_lip_at = ""
     for label, space, cset, sampler in targets:
         rng = np.random.default_rng(seed + 1)
-        for _ in range(pairs):
+        for _ in range(_PROJECTION_PAIRS):
             x, y = sampler(rng, space), sampler(rng, space)
             expansion = (space.distance(project(space, cset, x).point,
                                         project(space, cset, y).point)
@@ -310,7 +316,7 @@ def suite_projections(seed: int = 0, pairs: int = 10_000,
     worst_agree = 0.0
     rng = np.random.default_rng(seed + 3)
     for cset in tripod.sets[:3]:
-        for _ in range(inputs // 2):
+        for _ in range(_PROJECTION_INPUTS // 2):
             x = _product_point(rng, product)
             exact = project_segment_tree_exact(product, cset, x)
             generic = project_segment_generic(product, cset, x, tol=1e-12)
@@ -361,11 +367,6 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # Counterexample suite
-
-
-_TRIPOD_SAMPLES = 50  # points along each segment
-_CHAIN_SAMPLES = 20   # random points of the bottom disc
-_CHAIN_POWERS = 20    # cycle powers P^m checked, m = 1.._CHAIN_POWERS
 
 
 def tripod_certificates() -> list[CheckResult]:

@@ -21,6 +21,7 @@ from cycproj import (
     build_twisted_chain,
     iterate,
     project,
+    project_segment_generic,
     rate_fit,
     two_set_diagnostics,
     verdict,
@@ -39,13 +40,20 @@ def report(num: int, clauses: list[tuple[str, bool]]) -> None:
 
 def test_criterion_1_tripod_steps_stay_one():
     scenario = build_tripod_counterexample(3)
-    start = scenario.start("endpoint")
+    space, start = scenario.space, scenario.start("endpoint")
     t0 = time.perf_counter()
-    exact = iterate(scenario.space, scenario.sets, start, 100, method="exact")
-    generic = iterate(scenario.space, scenario.sets, start, 100, method="generic")
+    exact = iterate(space, scenario.sets, start, 100)
+    # the same cycles with golden section forced on every segment
+    generic_r, x = [], start
+    for _ in range(100):
+        y = x
+        for cset in reversed(scenario.sets):
+            y = project_segment_generic(space, cset, y, tol=1e-12).point
+        generic_r.append(space.distance(x, y))
+        x = y
     elapsed = time.perf_counter() - t0
     exact_err = float(np.abs(exact.r - 1.0).max())
-    generic_err = float(np.abs(generic.r - 1.0).max())
+    generic_err = float(np.abs(np.array(generic_r) - 1.0).max())
     report(1, [
         (f"exact |r-1| = {exact_err:.2e} <= 1e-9", exact_err <= 1e-9),
         (f"generic |r-1| = {generic_err:.2e} <= 1e-6", generic_err <= 1e-6),
@@ -171,7 +179,7 @@ def test_criterion_5_twisted_chain_powers():
 
 def test_criterion_6_projection_property_suite():
     t0 = time.perf_counter()
-    results = suite_projections(seed=0, pairs=10_000, inputs=1_000)
+    results = suite_projections(seed=0)
     elapsed = time.perf_counter() - t0
     clauses = [(r.line(), r.passed) for r in results]
     clauses.append((f"runtime {elapsed:.1f}s < 60s", elapsed < 60.0))
@@ -180,7 +188,7 @@ def test_criterion_6_projection_property_suite():
 
 def test_criterion_7_metric_suite():
     t0 = time.perf_counter()
-    results = suite_metric(seed=0, samples=10_000)
+    results = suite_metric(seed=0)
     elapsed = time.perf_counter() - t0
     clauses = [(r.line(), r.passed) for r in results]
     clauses.append((f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0))

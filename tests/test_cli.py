@@ -175,7 +175,7 @@ class TestRate:
     def test_rate_prints_slope(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"
         code = run_cli("rate", "plane-two-sets", "--epsilon", "0.5", "--n", "2000",
-                       "--window", "100", "2000", "--out", str(out))
+                       "--rate-window", "100", "2000", "--out", str(out))
         assert code == 0
         text = capsys.readouterr().out
         assert "rate: slope=" in text
@@ -184,11 +184,34 @@ class TestRate:
         assert "sqrt(n)*r" in text
 
     def test_tripod_rate_is_flat(self, tmp_path, capsys):
-        code = run_cli("rate", "tripod", "--n", "100", "--window", "1", "99",
+        code = run_cli("rate", "tripod", "--n", "100", "--rate-window", "1", "99",
                        "--out", str(tmp_path / "t.csv"))
         assert code == 0
         slope = float(capsys.readouterr().out.split("rate: slope=")[1].split()[0])
         assert abs(slope) <= 1e-9
+
+    @staticmethod
+    def rate_line(text: str) -> str:
+        return next(line for line in text.splitlines() if line.startswith("rate: "))
+
+    def test_rate_window_sets_the_fit_as_in_run(self, tmp_path, capsys):
+        base = ["plane-two-sets", "--n", "2000", "--rate-window", "100", "200"]
+        assert run_cli("rate", *base, "--out", str(tmp_path / "rate.csv")) == 0
+        rate = self.rate_line(capsys.readouterr().out)
+        assert "at n=100:" in rate and "at n=200:" in rate
+        assert run_cli("run", *base, "--out", str(tmp_path / "run.csv")) == 0
+        assert self.rate_line(capsys.readouterr().out) == rate
+
+    def test_config_rate_window_applies_and_default_is_tenth_to_end(self, tmp_path, capsys):
+        config = tmp_path / "rate.cfg"
+        config.write_text("rate_window=100 200\n")
+        base = ["rate", "plane-two-sets", "--n", "2000", "--out", str(tmp_path / "r.csv")]
+        assert run_cli(*base, "--config", str(config)) == 0
+        rate = self.rate_line(capsys.readouterr().out)
+        assert "at n=100:" in rate and "at n=200:" in rate
+        assert run_cli(*base) == 0
+        rate = self.rate_line(capsys.readouterr().out)
+        assert "at n=200:" in rate and "at n=1999:" in rate
 
 
 class TestVerify:
@@ -299,7 +322,31 @@ class TestSweep:
         out = tmp_path / "bad.json"
         code = run_cli("sweep", "plane-two-sets", "--param", "epsilon",
                        "--values", "0.5,-1.0", "--n", "20", "--out", str(out))
-        assert code == 3
+        assert code == 2  # as `run --epsilon -1` exits
         results = json.loads(out.read_text())
         assert "error" in results[1]
         assert results[0]["verdict"]
+
+    def test_mid_run_failure_carries_its_text(self, tmp_path):
+        # six ulps below 2**23 the steps move x by one ulp until cycle 6 fails
+        options = ["--n", "50", "--stride", "4",
+                   f"--start-coords={2.0**23 - 6 * 2.0**-30!r},0"]
+        run_out, sweep_out = tmp_path / "run.json", tmp_path / "sweep.json"
+        assert run_cli("run", "plane-two-sets", "--epsilon", "0.25", *options,
+                       "--format", "json", "--out", str(run_out)) == 3
+        payload = json.loads(run_out.read_text())
+        assert payload["n"] == 6 and payload["failed"] is True
+        assert "does not move x0" in payload["failure"]
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.25",
+                       *options, "--out", str(sweep_out)) == 3
+        [entry] = json.loads(sweep_out.read_text())
+        assert entry["failure"] == payload["failure"]
+        # a usage error in the same sweep outranks the numerical failure
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.25,-1",
+                       *options, "--out", str(sweep_out)) == 2
+        failed, usage = json.loads(sweep_out.read_text())
+        assert failed["failure"] == payload["failure"] and "error" in usage
+        # a run that completes has no failure key
+        assert run_cli("run", "plane-two-sets", "--n", "50", "--format", "json",
+                       "--out", str(run_out)) == 0
+        assert "failure" not in json.loads(run_out.read_text())

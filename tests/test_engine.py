@@ -147,7 +147,7 @@ class TestIterate:
             iterate(tripod.space, (), tripod.start("endpoint"), 5)
 
 
-def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", stride=None):
+def reference_iterate(space, sets, start, cycles, *, tol=1e-12, stride=None):
     """The generic loop of ``iterate``: ``cycle_apply`` plus ``space.distance``.
 
     Kept here as the reference the float kernel for the axis against an
@@ -169,7 +169,7 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", s
     x, y_prev, failure, completed = start, None, None, n
     for i in range(n):
         try:
-            x_next, mids = cycle_apply(space, sets, x, tol=tol, method=method)
+            x_next, mids = cycle_apply(space, sets, x, tol=tol)
         except NumericalFailureError as exc:
             failure, completed = str(exc), i
             break
@@ -190,7 +190,7 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, method="auto", s
         if points[-1] is not x:
             point_indices.append(completed)
             points.append(x)
-    return Trace(space=space, sets=sets, start=start, requested=n, stride=stride, r=r,
+    return Trace(space=space, sets=sets, stride=stride, r=r,
                  point_indices=np.asarray(point_indices, dtype=np.int64), points=points,
                  s=s_arr, a=a_arr, b=b_arr,
                  failed=failure is not None, failure=failure)
@@ -243,7 +243,6 @@ class TestAxisEpigraphKernel:
 
     @pytest.mark.parametrize("start, kwargs, error, match", [
         ("1.3,0", {}, TypeError, "expected PlanePoint, got str"),
-        (PlanePoint(1.3, 0.0), {"method": "bogus"}, ValueError, "unknown method 'bogus'"),
         (PlanePoint(1.3, 0.0), {"tol": 0.0}, ValueError, "tol must be positive"),
         (PlanePoint(1.3, 0.0), {"cycles": 0}, ValueError, "cycles must be >= 1"),
         (PlanePoint(1.3, 0.0), {"stride": 0}, ValueError, "stride must be >= 1"),
@@ -304,8 +303,6 @@ def synthetic_trace(r: np.ndarray) -> Trace:
     return Trace(
         space=None,
         sets=(None, None),
-        start=None,
-        requested=len(r),
         stride=1,
         r=np.asarray(r, dtype=float),
         point_indices=np.arange(len(r) + 1),

@@ -273,11 +273,9 @@ class TestSegmentTreeExact:
         x = ProductPoint(StarPoint(2, 0.3), StarPoint(1, 0.3))
         with pytest.raises(UnsupportedShapeError):
             project_segment_tree_exact(space, crossing, x)
-        # the dispatcher falls back to the generic solver in auto mode
+        # the dispatcher falls back to the generic solver
         res = project(space, crossing, x)
         assert res.solver == "golden_section"
-        with pytest.raises(UnsupportedShapeError):
-            project(space, crossing, x, method="exact")
 
     def test_center_endpoint_supported(self, tripod):
         space = tripod.space
@@ -451,18 +449,31 @@ class TestDispatcher:
         assert res.point.x == pytest.approx(0.5, abs=1e-15)
         assert res.point.y == pytest.approx(0.5, abs=1e-15)
 
-    def test_method_generic_forced(self, tripod):
-        res = project(tripod.space, tripod.sets[0], tripod.start("endpoint"),
-                      method="generic")
+    def test_solver_follows_space_and_set(self, tripod):
+        space = tripod.space
+        x = ProductPoint(StarPoint(2, 0.3), StarPoint(1, 0.3))
+        for seg in tripod.sets:
+            res = project(space, seg, x)
+            assert res.solver == "exact_piecewise"
+            assert res == project_segment_tree_exact(space, seg, x)
+        crossing = Segment(  # the left coordinate runs from leg 0 through the center to leg 1
+            ProductPoint(StarPoint(0, 0.5), StarPoint(0, 0.5)),
+            ProductPoint(StarPoint(1, 0.5), StarPoint(0, 0.2)),
+        )
+        res = project(space, crossing, x)
         assert res.solver == "golden_section"
+        assert res == project_segment_generic(space, crossing, x, tol=1e-12)
+        tree = StarTree.unit(3)  # a segment outside the plane and tree products
+        leg_seg = Segment(StarPoint(0, 0.2), StarPoint(0, 0.9))
+        assert project(tree, leg_seg, StarPoint(1, 0.4)).solver == "golden_section"
+        seg = Segment(PlanePoint(-1, -1), PlanePoint(1, 1))
+        assert project(PLANE, seg, PlanePoint(3.0, 0.5)).solver == "closed_form"
 
     def test_wrong_space_pairings(self, tripod):
         with pytest.raises(TypeError):
             project(tripod.space, AxisLine(), tripod.start("endpoint"))
         with pytest.raises(TypeError):
             project(PLANE, CrossDisc(0), PlanePoint(0, 0))
-        with pytest.raises(ValueError):
-            project(PLANE, AxisLine(), PlanePoint(0, 0), method="sideways")
 
 
 class TestSetDistance:
