@@ -1,12 +1,12 @@
 """Command-line front end: run scenarios, verify invariants, fit rates, sweep.
 
 Exit codes are a stable contract: 0 on success, 2 on usage errors (unknown
-scenario or suite, bad parameters), 3 on numerical failure (the trace file
-is still written, truncated and flagged).  A sweep exits 2 when any of its
-runs is a usage error, else 3 when any failed.  Options may also be
-supplied as ``key=value`` lines in a config file; explicit flags win.  The
-only environment variable consulted is ``CYCPROJ_OUT_DIR`` (default output
-directory).
+scenario or suite, bad parameters, a start with two nearest lifts of a
+disc), 3 on numerical failure (the trace file is still written, truncated
+and flagged).  A sweep exits 2 when any of its runs is a usage error, else
+3 when any failed.  Options may also be supplied as ``key=value`` lines in
+a config file; explicit flags win.  The only environment variable consulted
+is ``CYCPROJ_OUT_DIR`` (default output directory).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import groupby
 
 from . import traceio
 from .engine import iterate, rate_fit, verdict
+from .projections import AmbiguousProjectionError
 from .scenarios import Scenario, build_scenario
 from .verify import run_suite, suite_names
 
@@ -28,8 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Exceptions that make a usage error, in main and in each sweep run.
-_USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError)
+# Exceptions that make a usage error, in main and in each sweep run.  Only a
+# start point can make a projection ambiguous: the chain's disc gap rules out
+# a tie later in a run.
+_USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionError)
 
 _SCENARIO_PARAMS = ("epsilon", "alpha", "radius", "circumference", "theta", "k")
 

@@ -15,6 +15,10 @@ Suites:
   scenarios.
 * ``counterexamples`` -- the isometry/orientation certificates of the
   tripod configuration and the rotation certificates of the twisted chain.
+
+Each check seeds its own ``numpy.random.Generator`` and draws its samples in
+a fixed order.  Scalar uniforms come from ``_uniform``, which is bitwise
+``rng.uniform(lo, hi)`` computed from the cheaper ``rng.random()``.
 """
 
 from __future__ import annotations
@@ -86,13 +90,26 @@ class CheckResult:
 # Random samplers
 
 
+def _uniform(rng, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` bit for bit: numpy computes that as ``lo + (hi - lo) * d``
+    with d the stream's next double, the value ``rng.random()`` returns."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _disc_coords(rng, radius: float) -> tuple[float, float]:
+    """Disc coordinates (u, v) of a uniform point: the radius draw, then the angle."""
+    rad = radius * math.sqrt(_uniform(rng, 0.0, 1.0))
+    ang = _uniform(rng, 0.0, 2.0 * math.pi)
+    return rad * math.cos(ang), rad * math.sin(ang)
+
+
 def _plane_point(rng, space=None) -> PlanePoint:
-    return PlanePoint(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)))
+    return PlanePoint(_uniform(rng, -5.0, 5.0), _uniform(rng, -5.0, 5.0))
 
 
 def _star_point(rng, tree: StarTree) -> StarPoint:
     leg = int(rng.integers(tree.leg_count))
-    return StarPoint(leg, float(rng.uniform(0.0, tree.leg_lengths[leg])))
+    return StarPoint(leg, _uniform(rng, 0.0, tree.leg_lengths[leg]))
 
 
 def _product_point(rng, space: ProductSpace) -> ProductPoint:
@@ -100,10 +117,7 @@ def _product_point(rng, space: ProductSpace) -> ProductPoint:
 
 
 def _chain_point(rng, chain: TwistedChain) -> ChainPoint:
-    rad = chain.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
-    ang = float(rng.uniform(0.0, 2.0 * math.pi))
-    return ChainPoint(rad * math.cos(ang), rad * math.sin(ang),
-                      float(rng.uniform(0.0, chain.circumference)))
+    return ChainPoint(*_disc_coords(rng, chain.radius), _uniform(rng, 0.0, chain.circumference))
 
 
 def _spaces_with_samplers():
@@ -145,7 +159,7 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
         worst = 0.0
         for _ in range(_METRIC_SAMPLES):
             p, q = sampler(rng, space), sampler(rng, space)
-            t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2).tolist())
+            t1, t2 = sorted((rng.random(), rng.random()))
             g1, g2 = space.geodesic(p, q, t1), space.geodesic(p, q, t2)
             worst = max(worst, abs(space.distance(g1, g2) - (t2 - t1) * space.distance(p, q)))
         checks.append(CheckResult(f"constant-speed[{label}]", worst <= 1e-12,
@@ -197,18 +211,15 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
 
 def _in_set_sample(rng, space, cset):
     if isinstance(cset, Segment):
-        return space.geodesic(cset.start, cset.end, float(rng.uniform(0.0, 1.0)))
+        return space.geodesic(cset.start, cset.end, _uniform(rng, 0.0, 1.0))
     if isinstance(cset, AxisLine):
-        return PlanePoint(float(rng.uniform(-8.0, 8.0)), 0.0)
+        return PlanePoint(_uniform(rng, -8.0, 8.0), 0.0)
     if isinstance(cset, Epigraph):
-        u = math.exp(float(rng.uniform(math.log(0.05), math.log(20.0))))
-        lift = float(rng.uniform(0.0, 3.0)) if rng.uniform() < 0.5 else 0.0
+        u = math.exp(_uniform(rng, math.log(0.05), math.log(20.0)))
+        lift = _uniform(rng, 0.0, 3.0) if rng.random() < 0.5 else 0.0
         return PlanePoint(u, cset.boundary_height(u) + lift)
     if isinstance(cset, CrossDisc):
-        rad = space.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        return ChainPoint(rad * math.cos(ang), rad * math.sin(ang),
-                          space.disc_heights[cset.disc_index])
+        return ChainPoint(*_disc_coords(rng, space.radius), space.disc_heights[cset.disc_index])
     raise TypeError(type(cset).__name__)
 
 
@@ -224,10 +235,8 @@ def _chain_band_sampler(disc_height: float):
 
     def sample(rng, chain: TwistedChain) -> ChainPoint:
         band = chain.circumference / 2.0 - 3.0 * chain.radius
-        rad = chain.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        return chain.point(rad * math.cos(ang), rad * math.sin(ang),
-                           disc_height + float(rng.uniform(-band, band)))
+        return chain.point(*_disc_coords(rng, chain.radius),
+                           disc_height + _uniform(rng, -band, band))
 
     return sample
 
@@ -379,11 +388,9 @@ def tripod_certificates() -> list[CheckResult]:
     # P_i maps C_{i+1} onto C_i (cyclically); parameters map with slope -1.
     worst_iso = 0.0
     worst_slope = 0.0
-    pairs = [(c2, c1), (c3, c2), (c1, c3)]
-    for source, target in pairs:
-        params = np.linspace(0.0, 1.0, _TRIPOD_SAMPLES)
-        for i in range(_TRIPOD_SAMPLES - 1):
-            t0, t1 = float(params[i]), float(params[i + 1])
+    params = np.linspace(0.0, 1.0, _TRIPOD_SAMPLES).tolist()
+    for source, target in ((c2, c1), (c3, c2), (c1, c3)):
+        for t0, t1 in zip(params, params[1:]):
             x0 = space.geodesic(source.start, source.end, t0)
             x1 = space.geodesic(source.start, source.end, t1)
             p0 = project(space, target, x0)
@@ -428,18 +435,13 @@ def chain_certificates() -> list[CheckResult]:
 
     worst_rot = 0.0
     rng = np.random.default_rng(7)
+    c, s = math.cos(alpha), math.sin(alpha)
     for _ in range(_CHAIN_SAMPLES):
-        rad = chain.radius * math.sqrt(float(rng.uniform(0.0, 1.0)))
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        x = ChainPoint(rad * math.cos(ang), rad * math.sin(ang), 0.0)
-        y, _ = cycle_apply(chain, scenario.sets, x)
-        expected = ChainPoint(
-            math.cos(alpha) * x.u - math.sin(alpha) * x.v,
-            math.sin(alpha) * x.u + math.cos(alpha) * x.v,
-            0.0,
-        )
-        worst_rot = max(worst_rot, math.hypot(y.u - expected.u, y.v - expected.v),
-                        abs(y.height - expected.height))
+        u, v = _disc_coords(rng, chain.radius)
+        y, _ = cycle_apply(chain, scenario.sets, ChainPoint(u, v, 0.0))
+        # the expected image is (u, v) rotated by alpha, at height 0
+        worst_rot = max(worst_rot, math.hypot(y.u - (c * u - s * v), y.v - (s * u + c * v)),
+                        abs(y.height))
     checks.append(CheckResult("chain-cycle-rotation", worst_rot <= 1e-12,
                               worst_rot, 1e-12,
                               detail="one cycle = rotation by alpha on the bottom disc"))
@@ -478,10 +480,7 @@ def suite_names() -> list[str]:
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITES.values():
-            results.extend(suite(seed))
-        return results
+        return [result for suite in SUITES.values() for result in suite(seed)]
     try:
         suite = SUITES[name]
     except KeyError:

@@ -117,6 +117,15 @@ class TestRun:
         assert run_cli("run", scenario, "--start-coords", text,
                        "--out", str(tmp_path / "x.csv")) == 2
 
+    def test_tied_start_is_usage_error(self, tmp_path, capsys):
+        # height 0.5 is half a loop from disc 2, so two of its lifts tie
+        out = tmp_path / "tie.csv"
+        code = run_cli("run", "twisted-chain", "--n", "5",
+                       "--start-coords", "0.05,0,0.5", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: two lifts of disc 2 ")
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         out = tmp_path / "fail.csv"
         code = run_cli("run", "plane-two-sets", "--n", "5",
@@ -326,6 +335,14 @@ class TestSweep:
         results = json.loads(out.read_text())
         assert "error" in results[1]
         assert results[0]["verdict"]
+
+    def test_tied_start_is_usage_error(self, tmp_path):
+        out = tmp_path / "tie.json"
+        code = run_cli("sweep", "twisted-chain", "--param", "alpha", "--values", "1.0",
+                       "--n", "5", "--start-coords", "0.05,0,0.5", "--out", str(out))
+        assert code == 2  # as `run` exits on the same start
+        [entry] = json.loads(out.read_text())
+        assert entry["error"].startswith("two lifts of disc 2 ")
 
     def test_mid_run_failure_carries_its_text(self, tmp_path):
         # six ulps below 2**23 the steps move x by one ulp until cycle 6 fails
