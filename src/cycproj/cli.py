@@ -30,8 +30,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # Exceptions that make a usage error, in main and in each sweep run.  Only a
-# start point can make a projection ambiguous: the chain's disc gap rules out
-# a tie later in a run.
+# start point can make a projection ambiguous here: the scenario's discs are a
+# third of a loop apart, so no later point is half a loop from the next disc.
 _USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionError)
 
 _SCENARIO_PARAMS = ("epsilon", "alpha", "radius", "circumference", "theta", "k")

@@ -78,16 +78,16 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         wins = sum(g > 0 for g in gains)
         gap = q_change[1] - q_parent[1]
         iqr = q_parent[2] - q_parent[0]
-        worsening = -sign * gap / q_parent[1] if q_parent[1] else 0.0
+        relative = gap / q_parent[1] if q_parent[1] else 0.0
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": values["parent"], "change": values["change"],
             "parent_quartiles": q_parent, "change_quartiles": q_change,
-            "median_gap": gap, "relative_gap": gap / q_parent[1] if q_parent[1] else None,
+            "median_gap": gap, "relative_gap": relative,
             "parent_iqr": iqr, "gap_exceeds_parent_iqr": abs(gap) > iqr,
             "wins": wins, "losses": sum(g < 0 for g in gains),
             "gain_holds": wins >= 0.9 * len(done) and sign * gap > iqr,
-            "bound": metric["bound"], "worse_beyond_bound": worsening > metric["bound"],
+            "bound": metric["bound"], "worse_beyond_bound": -sign * relative > metric["bound"],
         }
     return summary
 
