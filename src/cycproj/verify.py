@@ -388,9 +388,11 @@ def tripod_certificates() -> list[CheckResult]:
     # P_i maps C_{i+1} onto C_i (cyclically); parameters map with slope -1.
     worst_iso = 0.0
     worst_slope = 0.0
-    params = np.linspace(0.0, 1.0, _TRIPOD_SAMPLES).tolist()
-    for source, target in ((c2, c1), (c3, c2), (c1, c3)):
-        for t0, t1 in zip(params, params[1:]):
+    pairs = [(c2, c1), (c3, c2), (c1, c3)]
+    for source, target in pairs:
+        params = np.linspace(0.0, 1.0, _TRIPOD_SAMPLES)
+        for i in range(_TRIPOD_SAMPLES - 1):
+            t0, t1 = float(params[i]), float(params[i + 1])
             x0 = space.geodesic(source.start, source.end, t0)
             x1 = space.geodesic(source.start, source.end, t1)
             p0 = project(space, target, x0)
@@ -480,7 +482,10 @@ def suite_names() -> list[str]:
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name == "all":
-        return [result for suite in SUITES.values() for result in suite(seed)]
+        results: list[CheckResult] = []
+        for suite in SUITES.values():
+            results.extend(suite(seed))
+        return results
     try:
         suite = SUITES[name]
     except KeyError:

@@ -112,3 +112,43 @@ def test_suite_results_equal_with_numpy_uniform(monkeypatch, suite):
     reference = suite(3)
     assert shipped == reference
     assert [repr(r.worst) for r in shipped] == [repr(r.worst) for r in reference]
+
+
+# ``repr(worst)`` of each check at the reduced sample counts below, as the
+# suites gave it when every draw went through ``Generator.uniform`` and the
+# rotation check built its expected point from ``math.cos(alpha)`` and
+# ``math.sin(alpha)`` per sample.  Unlike the swap above, these also guard
+# the sorted geodesic parameters, which bypass ``_uniform``, and the rotation
+# check.  The epigraph's coin is guarded by the in-set sampler test.
+UNIFORM_WORST = {
+    "metric-symmetry[plane]": "0.0",
+    "metric-triangle[plane]": "0.0",
+    "metric-symmetry[star-tree]": "0.0",
+    "metric-triangle[star-tree]": "2.220446049250313e-16",
+    "metric-symmetry[tree-product]": "0.0",
+    "metric-triangle[tree-product]": "0.0",
+    "metric-symmetry[chain]": "0.0",
+    "metric-triangle[chain]": "0.0",
+    "constant-speed[plane]": "1.7763568394002505e-15",
+    "constant-speed[star-tree]": "2.220446049250313e-16",
+    "constant-speed[tree-product]": "2.220446049250313e-16",
+    "star-gluing": "0.0",
+    "cn-margin[plane]": "4.263256414560601e-14",
+    "cn-margin[tree-product]": "8.881784197001252e-16",
+    "projection-idempotence": "4.965068306494546e-16",
+    "projection-nonexpansive": "0.0",
+    "projection-optimality": "0.0",
+    "projection-obtuse-angle": "2.3092638912203256e-13",
+    "exact-vs-generic-agreement": "2.2322830118226628e-08",
+    "chain-representative-independence": "8.881784197001252e-16",
+    "chain-cycle-rotation": "0.0",
+    "chain-power-steps": "2.9976021664879227e-15",
+}
+
+
+def test_worst_values_equal_the_uniform_draws(monkeypatch):
+    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+    results = verify.suite_metric(3) + verify.suite_projections(3) + verify.chain_certificates()
+    assert {r.name: repr(r.worst) for r in results} == UNIFORM_WORST
