@@ -30,7 +30,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # Exceptions that make a usage error, in main and in each sweep run.  Only a
-# start point can make a projection ambiguous here: the scenario's discs are a
+# start point can make a projection ambiguous here: a chain's discs are always a
 # third of a loop apart, so no later point is half a loop from the next disc.
 _USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionError)
 
@@ -38,7 +38,6 @@ _SCENARIO_PARAMS = ("epsilon", "alpha", "radius", "circumference", "theta", "k")
 
 _RUN_DEFAULTS = {
     "n": 100,
-    "tol": 1e-12,
     "format": "csv",
     "start": None,
     "start_coords": None,
@@ -57,7 +56,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Acti
         parser.add_argument("--start-coords", default=None,
                             help="explicit start: plane 'x,y'; tree product "
                                  "'leg:off,leg:off'; chain 'u,v,height'"),
-        parser.add_argument("--tol", type=float, default=None, help="projection tolerance"),
         parser.add_argument("--stride", type=int, default=None, help="point storage stride"),
         parser.add_argument("--out", default=None, help="output trace path"),
         parser.add_argument("--format", choices=("csv", "json"), default=None,
@@ -199,8 +197,7 @@ def _run(args: argparse.Namespace):
     on its first cycle has nothing to classify, so its summary says why.
     """
     scenario, start, start_label = _scenario_and_start(args)
-    trace = iterate(scenario.space, scenario.sets, start, args.n,
-                    tol=args.tol, stride=args.stride)
+    trace = iterate(scenario.space, scenario.sets, start, args.n, stride=args.stride)
     if trace.completed == 0:
         summary = {"scenario": scenario.name, "n": 0, "failed": True,
                    "failure": trace.failure}
@@ -271,6 +268,8 @@ def _sweep_worker(payload: tuple) -> tuple[dict, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     values_text = args.values.strip()
     values = [v.strip() for v in values_text.split(",") if v.strip()] if values_text else []
     caster = int if args.param == "k" else float
@@ -279,8 +278,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     payloads = [(i, argparse.Namespace(**{**vars(args), args.param: value}))
                 for i, value in enumerate(grid)]
 
-    if args.jobs > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))  # fork starts them all at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, payloads))
     else:
         outcomes = [_sweep_worker(payload) for payload in payloads]

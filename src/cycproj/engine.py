@@ -33,7 +33,6 @@ from .projections import (
     ConvexSet,
     Epigraph,
     NumericalFailureError,
-    _check_epigraph_args,
     _epigraph_foot,
     project,
 )
@@ -93,7 +92,7 @@ class Trace:
         return len(self.r)
 
 
-def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12):
+def cycle_apply(space, sets: Sequence[ConvexSet], x):
     """Apply one full cycle of :func:`project` calls, rightmost set first.
 
     Returns ``(P(x), intermediates)`` where intermediates lists the k points
@@ -103,21 +102,21 @@ def cycle_apply(space, sets: Sequence[ConvexSet], x, *, tol: float = 1e-12):
         raise ValueError("at least one convex set is required")
     intermediates = []
     for cset in reversed(sets):
-        x = project(space, cset, x, tol=tol).point
+        x = project(space, cset, x).point
         intermediates.append(x)
     return x, tuple(intermediates)
 
 
 def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
-            tol: float = 1e-12, stride: int | None = None) -> Trace:
+            stride: int | None = None) -> Trace:
     """Run ``cycles`` cycles of the projection iteration from ``start``.
 
     Deterministic: identical inputs produce bit-identical traces, with each
-    solver picked from the space and the set as in :func:`project`.  On a
-    numerical failure inside a projection the trace is returned truncated
-    with ``failed`` set; domain and usage errors propagate.  The x-axis
-    against an epigraph runs on the float kernel
-    :func:`_axis_epigraph_cycles`, every other input on
+    solver picked from the space and the set as in :func:`project` and
+    stopping at its one fixed tolerance of 1e-12.  On a numerical failure
+    inside a projection the trace is returned truncated with ``failed`` set;
+    domain and usage errors propagate.  The x-axis against an epigraph runs
+    on the float kernel :func:`_axis_epigraph_cycles`, every other input on
     :func:`_generic_cycles`; both fill the trace with the same bits.
     """
     sets = tuple(sets)
@@ -145,8 +144,8 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         cycles_of = _axis_epigraph_cycles
     else:
         cycles_of = _generic_cycles
-    completed, x, failure = cycles_of(space, sets, start, tol, stride, r, s_arr, a_arr,
-                                      b_arr, point_indices, points)
+    completed, x, failure = cycles_of(space, sets, start, stride, r, s_arr, a_arr, b_arr,
+                                      point_indices, points)
 
     if failure is not None:
         r = r[:completed]
@@ -173,8 +172,8 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     )
 
 
-def _generic_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
-                    point_indices, points):
+def _generic_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr, point_indices,
+                    points):
     """Fill a trace's arrays and point lists cycle by cycle through ``project``.
 
     Returns ``(completed, x, failure)``: the cycles run, the last point
@@ -188,7 +187,7 @@ def _generic_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
     y_prev = None
     for i in range(n):
         try:
-            x_next, mids = cycle_apply(space, sets, x, tol=tol)
+            x_next, mids = cycle_apply(space, sets, x)
         except NumericalFailureError as exc:
             return i, x, str(exc)
         r[i] = distance(x, x_next)
@@ -206,7 +205,7 @@ def _generic_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
     return n, x, None
 
 
-def _axis_epigraph_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_arr,
+def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
                           point_indices, points):
     """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
@@ -215,10 +214,10 @@ def _axis_epigraph_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_ar
     projector's float core and every distance is the ``math.hypot`` that
     ``Plane.distance`` evaluates, with the same operands in the same order,
     so the trace is bitwise the generic loop's.  Points are built only where
-    the trace stores them, and ``start`` is validated once, here.
+    the trace stores them; ``start`` is validated once, here, and epsilon by
+    the ``Epigraph`` constructor.
     """
     epsilon = sets[1].epsilon
-    _check_epigraph_args(epsilon, tol)
     space._check(start)
     foot, hypot, isfinite = _epigraph_foot, math.hypot, math.isfinite
     n = len(r)
@@ -226,7 +225,7 @@ def _axis_epigraph_cycles(space, sets, start, tol, stride, r, s_arr, a_arr, b_ar
     y_x = y_y = 0.0
     for i in range(n):
         try:
-            u, height, _ = foot(epsilon, x_x, x_y, tol)
+            u, height, _ = foot(epsilon, x_x, x_y)
         except NumericalFailureError as exc:
             return i, PlanePoint(x_x, x_y), str(exc)
         if not (isfinite(u) and isfinite(height)):

@@ -122,23 +122,23 @@ class ProjectionResult:
 # ---------------------------------------------------------------------------
 # Generic geodesic-segment projection
 
+_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = math.ceil(math.log(1.0 / _TOL) / math.log(1.0 / _INVPHI))
 _POLISH_STEP = 1e-5
 
 
-def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> ProjectionResult:
+def project_segment_generic(space, seg: Segment, x) -> ProjectionResult:
     """Project x onto a geodesic segment by golden-section search.
 
     The squared distance t -> d(x, gamma(t))^2 is convex along geodesics of a
-    CAT(0) space, so golden section is valid.  The iteration count is fixed
-    from ``tol`` for determinism.  A final three-point parabolic refinement
-    recovers the parameter below the comparison-noise floor of the raw
-    search (function values near an interior minimum differ by less than one
-    ulp once the bracket is ~1e-8 wide); it is accepted only when it stays
-    near the bracket and does not increase the objective.
+    CAT(0) space, so golden section is valid.  It takes a fixed 58 steps,
+    which shrink the bracket below ``_TOL``.  A final three-point parabolic
+    refinement recovers the parameter below the comparison-noise floor of the
+    raw search (function values near an interior minimum differ by less than
+    one ulp once the bracket is ~1e-8 wide); it is accepted only when it
+    stays near the bracket and does not increase the objective.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     start, end = seg.start, seg.end
     space._check(start)
     space._check(end)
@@ -153,7 +153,7 @@ def project_segment_generic(space, seg: Segment, x, tol: float = 1e-12) -> Proje
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(math.ceil(math.log(1.0 / tol) / math.log(1.0 / _INVPHI))):
+    for _ in range(_GOLDEN_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -362,14 +362,7 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, flo
     return lo, hi
 
 
-def _check_epigraph_args(epsilon: float, tol: float) -> None:
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
-
-def _epigraph_foot(epsilon: float, x0: float, y0: float, tol: float) -> tuple[float, float, str]:
+def _epigraph_foot(epsilon: float, x0: float, y0: float) -> tuple[float, float, str]:
     """Float core of :func:`project_epigraph` for a validated point (x0, y0).
 
     Returns the foot's coordinates ``(u, height)`` and the solver tag: a
@@ -399,7 +392,7 @@ def _epigraph_foot(epsilon: float, x0: float, y0: float, tol: float) -> tuple[fl
 
     scale = max(1.0, abs(x0), abs(y0))
     for _ in range(_MAX_NEWTON):
-        if abs(g) <= tol * scale:
+        if abs(g) <= _TOL * scale:
             break
         if g > 0.0:
             hi = d
@@ -424,7 +417,7 @@ def _epigraph_foot(epsilon: float, x0: float, y0: float, tol: float) -> tuple[fl
     return u, 1.0 + u ** (-epsilon), "newton"
 
 
-def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> ProjectionResult:
+def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
 
     Points already in the set are returned unchanged.  Otherwise the foot is
@@ -447,12 +440,14 @@ def project_epigraph(epsilon: float, x: PlanePoint, tol: float = 1e-13) -> Proje
     (h(x0) > x0, including an overflowing h), Newton from d = 0 would crawl
     across many decades; the root is instead bracketed by geometric
     expansion from u = 1 and solved for u itself.  Both brackets feed one
-    safeguarded Newton loop that bisects whenever a step leaves the bracket.
+    safeguarded Newton loop that bisects whenever a step leaves the bracket
+    and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).
     """
-    _check_epigraph_args(epsilon, tol)
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if not isinstance(x, PlanePoint):
         raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
-    u, height, solver = _epigraph_foot(epsilon, x.x, x.y, tol)
+    u, height, solver = _epigraph_foot(epsilon, x.x, x.y)
     if solver == "closed_form":
         return ProjectionResult(x, 0.0, solver)
     foot = PlanePoint(u, height)
@@ -495,7 +490,7 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
 # Dispatch
 
 
-def project(space, cset: ConvexSet, x, tol: float = 1e-12) -> ProjectionResult:
+def project(space, cset: ConvexSet, x) -> ProjectionResult:
     """Project x onto cset within space, by the solver the space and the set select.
 
     A plane segment takes the closed form, a tree-product segment the exact
@@ -512,7 +507,7 @@ def project(space, cset: ConvexSet, x, tol: float = 1e-12) -> ProjectionResult:
                 return project_segment_tree_exact(space, cset, x)
             except UnsupportedShapeError:
                 pass
-        return project_segment_generic(space, cset, x, tol)
+        return project_segment_generic(space, cset, x)
     if isinstance(cset, AxisLine):
         if not isinstance(space, Plane):
             raise TypeError("AxisLine lives in the plane")
@@ -520,7 +515,7 @@ def project(space, cset: ConvexSet, x, tol: float = 1e-12) -> ProjectionResult:
     if isinstance(cset, Epigraph):
         if not isinstance(space, Plane):
             raise TypeError("Epigraph lives in the plane")
-        return project_epigraph(cset.epsilon, x, tol)
+        return project_epigraph(cset.epsilon, x)
     if isinstance(cset, CrossDisc):
         if not isinstance(space, TwistedChain):
             raise TypeError("CrossDisc lives in a twisted chain")

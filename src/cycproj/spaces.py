@@ -334,7 +334,7 @@ class TwistedChain:
     isometry ``(d, h) -> (R_twist d, h + circumference)``, where ``R_theta``
     is the planar rotation by theta.  Representatives are stored with
     height in ``[0, circumference)``.  Three distinguished cross-sectional
-    discs sit at ``disc_heights``.
+    discs sit at ``disc_heights``: 0, 1/3 and 2/3 of the circumference.
 
     The quotient is flat but not simply connected, so it is not globally
     CAT(0); only distances and disc projections are defined on it.
@@ -343,7 +343,7 @@ class TwistedChain:
     radius: float
     circumference: float
     twist: float
-    disc_heights: tuple[float, float, float] = None  # type: ignore[assignment]
+    disc_heights: tuple[float, float, float] = field(init=False)
     # (cos k*twist, sin k*twist, k*circumference) for k = -_MAX_LIFT .. _MAX_LIFT
     _lifts: tuple = field(init=False, repr=False, compare=False)
 
@@ -356,27 +356,13 @@ class TwistedChain:
         if self.circumference <= 0.0:
             raise ValueError(f"circumference must be positive, got {self.circumference!r}")
         lam = self.circumference
-        if self.disc_heights is None:
-            heights = (0.0, lam / 3.0, 2.0 * lam / 3.0)
-        else:
-            heights = tuple(float(h) for h in self.disc_heights)
+        heights = (0.0, lam / 3.0, 2.0 * lam / 3.0)
         object.__setattr__(self, "disc_heights", heights)
-        if len(heights) != 3:
-            raise ValueError("exactly three disc heights are required")
+        # a subnormal circumference rounds the thirds together
         if not all(0.0 <= h < lam for h in heights):
             raise ValueError(f"disc heights must lie in [0, {lam!r})")
         if not (heights[0] < heights[1] < heights[2]):
             raise ValueError("disc heights must be strictly increasing")
-        gaps = (
-            heights[1] - heights[0],
-            heights[2] - heights[1],
-            lam - heights[2] + heights[0],
-        )
-        if max(gaps) >= lam / 2.0 + min(gaps):
-            raise ValueError(
-                "disc-height gaps too uneven: nearest-lift selection between "
-                f"consecutive discs would be ambiguous (gaps {gaps!r})"
-            )
         object.__setattr__(self, "_lifts", tuple(
             (math.cos(k * self.twist), math.sin(k * self.twist), k * lam)
             for k in range(-_MAX_LIFT, _MAX_LIFT + 1)

@@ -328,7 +328,7 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
         for _ in range(_PROJECTION_INPUTS // 2):
             x = _product_point(rng, product)
             exact = project_segment_tree_exact(product, cset, x)
-            generic = project_segment_generic(product, cset, x, tol=1e-12)
+            generic = project_segment_generic(product, cset, x)
             worst_agree = max(worst_agree, product.distance(exact.point, generic.point))
     checks.append(CheckResult("exact-vs-generic-agreement", worst_agree <= 1e-7,
                               worst_agree, 1e-7, seed + 3))

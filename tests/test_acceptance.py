@@ -48,7 +48,7 @@ def test_criterion_1_tripod_steps_stay_one():
     for _ in range(100):
         y = x
         for cset in reversed(scenario.sets):
-            y = project_segment_generic(space, cset, y, tol=1e-12).point
+            y = project_segment_generic(space, cset, y).point
         generic_r.append(space.distance(x, y))
         x = y
     elapsed = time.perf_counter() - t0

@@ -41,6 +41,9 @@ class TestRun:
     def test_bad_flag_returns_usage_code(self, capsys):
         assert run_cli("run", "tripod", "--format", "xml") == 2
         assert "invalid choice" in capsys.readouterr().err
+        # the projection tolerance is fixed
+        assert run_cli("run", "tripod", "--tol", "1e-9") == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_help_returns_zero(self, capsys):
         assert run_cli("--help") == 0
@@ -167,7 +170,7 @@ class TestConfigFile:
         assert payload["n"] == 30  # flag wins over config
         assert payload["params"]["epsilon"] == 1.0  # config fills the gap
 
-    @pytest.mark.parametrize("line", ["format=xml", "n=abc"])
+    @pytest.mark.parametrize("line", ["format=xml", "n=abc", "tol=1e-9"])
     def test_config_values_are_validated_like_flags(self, tmp_path, line):
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
@@ -279,6 +282,34 @@ class TestSweep:
         assert run_cli(*base, "--out", str(seq)) == 0
         assert run_cli(*base, "--out", str(par), "--jobs", "3") == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_runs(self, tmp_path, monkeypatch, capsys):
+        requested = []
+
+        class RecordingPool:
+            """Runs the grid in this process and records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("cycproj.cli.ProcessPoolExecutor", RecordingPool)
+        base = ["sweep", "two-lines", "--param", "theta", "--values", "0.3,0.6,0.9",
+                "--n", "5", "--out", str(tmp_path / "sweep.json")]
+        assert run_cli(*base, "--jobs", "8") == 0
+        assert requested == [3]
+        for jobs in ("0", "-1"):
+            assert run_cli(*base, "--jobs", jobs) == 2
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert requested == [3]
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty.json"

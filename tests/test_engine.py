@@ -147,7 +147,7 @@ class TestIterate:
             iterate(tripod.space, (), tripod.start("endpoint"), 5)
 
 
-def reference_iterate(space, sets, start, cycles, *, tol=1e-12, stride=None):
+def reference_iterate(space, sets, start, cycles, *, stride=None):
     """The generic loop of ``iterate``: ``cycle_apply`` plus ``space.distance``.
 
     Kept here as the reference the float kernel for the axis against an
@@ -169,7 +169,7 @@ def reference_iterate(space, sets, start, cycles, *, tol=1e-12, stride=None):
     x, y_prev, failure, completed = start, None, None, n
     for i in range(n):
         try:
-            x_next, mids = cycle_apply(space, sets, x, tol=tol)
+            x_next, mids = cycle_apply(space, sets, x)
         except NumericalFailureError as exc:
             failure, completed = str(exc), i
             break
@@ -243,7 +243,6 @@ class TestAxisEpigraphKernel:
 
     @pytest.mark.parametrize("start, kwargs, error, match", [
         ("1.3,0", {}, TypeError, "expected PlanePoint, got str"),
-        (PlanePoint(1.3, 0.0), {"tol": 0.0}, ValueError, "tol must be positive"),
         (PlanePoint(1.3, 0.0), {"cycles": 0}, ValueError, "cycles must be >= 1"),
         (PlanePoint(1.3, 0.0), {"stride": 0}, ValueError, "stride must be >= 1"),
     ])

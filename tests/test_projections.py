@@ -108,10 +108,6 @@ class TestEpigraph:
         assert "width 0.0 " in str(info.value)
         assert "-0.0" not in str(info.value)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            project_epigraph(1.0, PlanePoint(1.0, 0.0), tol=0.0)
-
     @pytest.mark.parametrize("eps, x0, foot", [
         (0.25, 1e-300, 0.74708832998635),
         (1.0, 1e-300, 1.2207440846057596),
@@ -156,6 +152,18 @@ class TestEpigraph:
                 # never farther than any grid point, and within grid resolution of the best
                 assert np.all(dist[part] ** 2 <= d2 + 1e-12)
                 assert np.all(d2 - dist[part] ** 2 <= 1e-3)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+    def test_direct_call_is_bitwise_project(self, eps):
+        # both stop the Newton solve at the one projection tolerance
+        def bits(res):
+            return res.point.x.hex(), res.point.y.hex(), res.distance.hex(), res.solver
+
+        points = np.random.default_rng(11).uniform(-5.0, 5.0, size=(30_000, 2))
+        moved = [(x0, y0) for x0, y0 in points.tolist()
+                 if bits(project_epigraph(eps, PlanePoint(x0, y0)))
+                 != bits(project(PLANE, Epigraph(eps), PlanePoint(x0, y0)))]
+        assert not moved, f"{len(moved)} of {len(points)} feet differ, first {moved[0]}"
 
     @pytest.mark.parametrize("eps", [0.25, 1.0])
     @pytest.mark.parametrize("x_start, cycles", [(1.3, 300), (280.0, 200)])
@@ -213,11 +221,6 @@ class TestSegmentGeneric:
         sampled = float(np.sqrt((left**2 + right**2).min()))
         assert res.distance <= sampled + 1e-9
 
-    def test_tol_validation(self, tripod):
-        with pytest.raises(ValueError):
-            project_segment_generic(tripod.space, tripod.sets[0],
-                                    tripod.start("endpoint"), tol=-1.0)
-
     @pytest.mark.parametrize("bad", OFF_TREE)
     def test_every_argument_is_validated(self, tripod, bad):
         space, seg = tripod.space, tripod.sets[0]
@@ -245,7 +248,7 @@ class TestSegmentTreeExact:
         assert res.solver == "exact_piecewise"
         assert res.point.left.offset == pytest.approx(0.5 - DELTA, abs=1e-12)
         assert res.point.right.offset == pytest.approx(0.5 + DELTA, abs=1e-12)
-        generic = project_segment_generic(space, c1, x, tol=1e-12)
+        generic = project_segment_generic(space, c1, x)
         assert space.distance(res.point, generic.point) <= 1e-7
 
     def test_midpoint_maps_to_midpoint(self, tripod):
@@ -285,7 +288,7 @@ class TestSegmentTreeExact:
         )
         x = ProductPoint(StarPoint(1, 0.4), StarPoint(0, 0.6))
         res = project_segment_tree_exact(space, seg, x)
-        generic = project_segment_generic(space, seg, x, tol=1e-12)
+        generic = project_segment_generic(space, seg, x)
         assert space.distance(res.point, generic.point) <= 1e-7
 
     @pytest.mark.parametrize("bad", OFF_TREE)
@@ -374,7 +377,7 @@ class TestSegmentTreeExact:
             )
             cset = tripod.sets[int(rng.integers(3))]
             exact = project_segment_tree_exact(space, cset, x)
-            generic = project_segment_generic(space, cset, x, tol=1e-12)
+            generic = project_segment_generic(space, cset, x)
             worst = max(worst, space.distance(exact.point, generic.point))
         assert worst <= 1e-7
 
@@ -428,8 +431,7 @@ class TestCrossDisc:
         assert res.distance == pytest.approx(self.brute_force_distance(chain, x, 2), abs=1e-3)
 
     def test_ambiguous_tie_rejected(self):
-        chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0,
-                             disc_heights=(0.0, 1.0, 2.0))
+        chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
         x = ChainPoint(0.05, 0.0, 2.5)  # exactly half a loop from disc 1
         with pytest.raises(AmbiguousProjectionError):
             project_cross_disc(chain, 1, x)
@@ -462,7 +464,7 @@ class TestDispatcher:
         )
         res = project(space, crossing, x)
         assert res.solver == "golden_section"
-        assert res == project_segment_generic(space, crossing, x, tol=1e-12)
+        assert res == project_segment_generic(space, crossing, x)
         tree = StarTree.unit(3)  # a segment outside the plane and tree products
         leg_seg = Segment(StarPoint(0, 0.2), StarPoint(0, 0.9))
         assert project(tree, leg_seg, StarPoint(1, 0.4)).solver == "golden_section"

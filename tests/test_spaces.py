@@ -306,9 +306,20 @@ class TestTwistedChain:
             chain._check(ChainPoint(0.0, 0.0, 3.5))  # height not normalized
         with pytest.raises(ValueError):
             TwistedChain(radius=-1.0, circumference=3.0, twist=1.0)
-        with pytest.raises(ValueError):
+
+    def test_disc_heights_are_thirds_of_a_loop(self, chain):
+        assert chain.disc_heights == (0.0, 1.0, 2.0)
+
+    def test_disc_heights_cannot_be_set(self):
+        # a gap of exactly half a loop would tie nearest lifts mid-run
+        with pytest.raises(TypeError):
             TwistedChain(radius=0.1, circumference=3.0, twist=1.0,
-                         disc_heights=(0.0, 0.1, 2.9))  # wrap gap too uneven
+                         disc_heights=(0.0, 1.5, 2.25))
+
+    @pytest.mark.parametrize("circumference", [5e-324, 1e-323])
+    def test_subnormal_circumference_collides_the_discs(self, circumference):
+        with pytest.raises(ValueError, match="disc heights"):
+            TwistedChain(radius=0.1, circumference=circumference, twist=1.0)
 
 
 # ---------------------------------------------------------------------------
