@@ -4,8 +4,10 @@ Exit codes are a stable contract: 0 on success, 2 on usage errors (unknown
 scenario or suite, bad parameters, a start with two nearest lifts of a
 disc), 3 on numerical failure (the trace file is still written, truncated
 and flagged).  A sweep exits 2 when any of its runs is a usage error, else
-3 when any failed.  Options may also be supplied as ``key=value`` lines in
-a config file; explicit flags win.  The only environment variable consulted
+3 when any failed.  The run options may also be supplied as ``key=value``
+lines in a ``--config`` file.  Each line is read as the flag it names, placed
+before the command line's flags: argparse converts and checks it as it does
+the flag, and an explicit flag wins.  The only environment variable consulted
 is ``CYCPROJ_OUT_DIR`` (default output directory).
 """
 
@@ -34,41 +36,32 @@ EXIT_NUMERICAL = 3
 # third of a loop apart, so no later point is half a loop from the next disc.
 _USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionError)
 
-_SCENARIO_PARAMS = ("epsilon", "alpha", "radius", "circumference", "theta", "k")
+# Scenario parameters: the type of their flag and of a swept grid value.
+_SCENARIO_PARAMS = {"epsilon": float, "alpha": float, "radius": float,
+                    "circumference": float, "theta": float, "k": int}
 
-_RUN_DEFAULTS = {
-    "n": 100,
-    "format": "csv",
-    "start": None,
-    "start_coords": None,
-    "stride": None,
-    "out": None,
-    "rate_window": None,
-}
+# The options a config file may set: every run option but the scenario and --config.
+_CONFIG_KEYS = ("n", "start", "start_coords", "stride", "out", "format", "rate_window",
+                *_SCENARIO_PARAMS)
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Add the run options; returns those a config file may set, by key."""
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("scenario", help="scenario name (see 'cycproj run --help')")
-    options = [
-        parser.add_argument("--n", type=int, default=None, help="number of cycles (default 100)"),
-        parser.add_argument("--start", default=None, help="label of a recommended start point"),
-        parser.add_argument("--start-coords", default=None,
-                            help="explicit start: plane 'x,y'; tree product "
-                                 "'leg:off,leg:off'; chain 'u,v,height'"),
-        parser.add_argument("--stride", type=int, default=None, help="point storage stride"),
-        parser.add_argument("--out", default=None, help="output trace path"),
-        parser.add_argument("--format", choices=("csv", "json"), default=None,
-                            help="trace file format (default csv)"),
-        parser.add_argument("--rate-window", type=int, nargs=2, metavar=("LO", "HI"),
-                            default=None, help="fit log r vs log n over this index window"),
-    ]
-    parser.add_argument("--config", default=None, help="key=value config file; flags win")
-    options += [parser.add_argument(f"--{name}", type=float, default=None)
-                for name in ("epsilon", "alpha", "radius", "circumference", "theta")]
-    options.append(parser.add_argument("--k", type=int, default=None,
-                                       help="number of sets (tripod)"))
-    return {action.dest: action for action in options}
+    parser.add_argument("--n", type=int, default=100, help="number of cycles (default 100)")
+    parser.add_argument("--start", help="label of a recommended start point")
+    parser.add_argument("--start-coords",
+                        help="explicit start: plane 'x,y'; tree product "
+                             "'leg:off,leg:off'; chain 'u,v,height'")
+    parser.add_argument("--stride", type=int, help="point storage stride")
+    parser.add_argument("--out", help="output trace path")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="trace file format (default csv)")
+    parser.add_argument("--rate-window", type=int, nargs=2, metavar=("LO", "HI"),
+                        help="fit log r vs log n over this index window")
+    parser.add_argument("--config", help="key=value config file; flags win")
+    for name, kind in _SCENARIO_PARAMS.items():
+        parser.add_argument(f"--{name}", type=kind,
+                            help="number of sets (tripod)" if name == "k" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 # Config handling
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_argv(path: str) -> list[str]:
+    """The flags a config file's ``key=value`` lines name, in file order.
+
+    A single value is written ``--flag=value``, so that a value such as
+    ``-0.5,0`` is not read as an option.
+    """
+    argv: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -113,36 +111,12 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _config_value(action: argparse.Action, raw: str):
-    """Convert a config value as its flag would be: the action's type, nargs and choices."""
-    words = [raw] if action.nargs is None else raw.split()
-    if action.nargs is not None and len(words) != action.nargs:
-        raise ValueError(f"config key {action.dest!r} takes {action.nargs} values, got {raw!r}")
-    values = [(action.type or str)(word) for word in words]
-    for value in values:
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {action.dest!r}: invalid choice {value!r} "
-                             f"(choose from {', '.join(map(repr, action.choices))})")
-    return values[0] if action.nargs is None else values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill options the flags left unset from the config file, then defaults."""
-    if args.config:
-        options = _add_run_options(argparse.ArgumentParser())
-        for key, raw in _read_config(args.config).items():
-            if key not in options:
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            value = _config_value(options[key], raw)
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    for key, default in _RUN_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
+            flag = "--" + key.replace("_", "-")
+            argv += [flag, *value.split()] if key == "rate_window" else [f"{flag}={value.strip()}"]
+    return argv
 
 
 def _parse_coords(space, text: str):
@@ -177,12 +151,9 @@ def _scenario_and_start(args: argparse.Namespace) -> tuple[Scenario, object, str
         ) from None
 
 
-def _out_path(args: argparse.Namespace, scenario: Scenario) -> str:
-    if args.out:
-        return args.out
-    out_dir = os.environ.get("CYCPROJ_OUT_DIR", ".")
-    ext = "csv" if args.format == "csv" else "json"
-    return os.path.join(out_dir, f"{scenario.name}-n{args.n}.{ext}")
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    """``--out``, or the file ``name`` in ``CYCPROJ_OUT_DIR`` (default: here)."""
+    return args.out or os.path.join(os.environ.get("CYCPROJ_OUT_DIR", "."), name)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +183,7 @@ def _run(args: argparse.Namespace):
 def _execute_run(args: argparse.Namespace) -> int:
     """Run, write the trace file and report; returns the exit code."""
     scenario, start_label, trace, fit, summary = _run(args)
-    path = _out_path(args, scenario)
+    path = _out_path(args, f"{scenario.name}-n{args.n}.{args.format}")
     if args.format == "csv":
         traceio.write_trace_csv(trace, path)
     else:
@@ -227,7 +198,7 @@ def _execute_run(args: argparse.Namespace) -> int:
           f"verdict={summary['verdict']} final_r={summary['final_r']:.9g} "
           f"liminf_r={summary['liminf_r']:.9g} slope={slope_text} out={path}")
     if fit is not None:
-        lo = max(1, args.rate_window[0])
+        lo = args.rate_window[0]
         hi = min(trace.completed - 1, args.rate_window[1])
         lo_val = math.sqrt(lo) * float(trace.r[lo])
         hi_val = math.sqrt(hi) * float(trace.r[hi])
@@ -270,10 +241,8 @@ def _sweep_worker(payload: tuple) -> tuple[dict, int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    values_text = args.values.strip()
-    values = [v.strip() for v in values_text.split(",") if v.strip()] if values_text else []
-    caster = int if args.param == "k" else float
-    grid = [caster(v) for v in values]
+    kind = _SCENARIO_PARAMS[args.param]
+    grid = [kind(v) for v in map(str.strip, args.values.split(",")) if v]
 
     payloads = [(i, argparse.Namespace(**{**vars(args), args.param: value}))
                 for i, value in enumerate(grid)]
@@ -288,9 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     codes = {code for _, code in outcomes}
     errors = sum(code != EXIT_OK for _, code in outcomes)
 
-    scenario_label = args.scenario
-    out = args.out or os.path.join(os.environ.get("CYCPROJ_OUT_DIR", "."),
-                                   f"{scenario_label}-sweep-{args.param}.json")
+    out = _out_path(args, f"{args.scenario}-sweep-{args.param}.json")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(results, fh, sort_keys=True)
         fh.write("\n")
@@ -308,15 +275,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help (0) or a bad flag (2)
-        return int(exc.code or 0)
-    try:
-        if args.command in ("run", "rate", "sweep"):
-            _merge_config(args)
+        if getattr(args, "config", None):
+            # config flags go right after the command, so the user's own flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_argv(args.config), *argv[at:]])
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help (0) or a bad flag or config value (2)
+        return int(exc.code or 0)
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

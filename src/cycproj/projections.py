@@ -81,6 +81,12 @@ class AxisLine:
     """The x-axis of the plane."""
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """An epigraph's epsilon must be finite and positive."""
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Epigraph:
     """The closed convex region {(x, y) : x > 0, y >= 1 + x**(-epsilon)}."""
@@ -88,8 +94,7 @@ class Epigraph:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
 
     def boundary_height(self, x: float) -> float:
         return 1.0 + x ** (-self.epsilon)
@@ -181,7 +186,10 @@ def project_segment_generic(space, seg: Segment, x) -> ProjectionResult:
 # Plane segments (closed form)
 
 
-def _project_segment_plane(seg: Segment, x: PlanePoint) -> ProjectionResult:
+def _project_segment_plane(plane: Plane, seg: Segment, x: PlanePoint) -> ProjectionResult:
+    plane._check(seg.start)
+    plane._check(seg.end)
+    plane._check(x)
     ax, ay = seg.start.x, seg.start.y
     bx, by = seg.end.x, seg.end.y
     # Anchor at the midpoint: feet near the middle of a long symmetric
@@ -443,8 +451,7 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     safeguarded Newton loop that bisects whenever a step leaves the bracket
     and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).
     """
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not isinstance(x, PlanePoint):
         raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
     u, height, solver = _epigraph_foot(epsilon, x.x, x.y)
@@ -501,7 +508,7 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
     """
     if isinstance(cset, Segment):
         if isinstance(space, Plane):
-            return _project_segment_plane(cset, x)
+            return _project_segment_plane(space, cset, x)
         if isinstance(space, ProductSpace):
             try:
                 return project_segment_tree_exact(space, cset, x)

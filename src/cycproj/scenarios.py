@@ -109,8 +109,6 @@ def build_tripod_counterexample(k: int = 3) -> Scenario:
 
 def build_plane_two_sets(epsilon: float = 0.5) -> Scenario:
     """The x-axis against the region above y = 1 + x**(-epsilon)."""
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     return Scenario(
         name="plane-two-sets",
         space=Plane(),

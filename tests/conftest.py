@@ -1,4 +1,4 @@
-"""Shared fixtures: scenario builders and cached long runs."""
+"""Shared fixtures: scenario builders, cached long runs and seed-0 verify suites."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import time
 import pytest
 
 from cycproj import build_plane_two_sets, build_tripod_counterexample, iterate
+from cycproj.verify import SUITES
 
 
 @pytest.fixture(scope="session")
@@ -28,4 +29,20 @@ def long_two_set_runs():
         # one extra cycle so the step r_n at n = 10^6 itself exists
         trace = iterate(scenario.space, scenario.sets, scenario.start(), 10**6 + 1)
         runs[eps] = (trace, time.perf_counter() - t0)
+    return runs
+
+
+@pytest.fixture(scope="session")
+def seed0_suites():
+    """Each verify suite's seed-0 results and wall-clock duration, by suite name.
+
+    Run once per session, in ``SUITES`` order, so the concatenated results are
+    ``run_suite("all", 0)``: the golden ``verify-seed0`` digests read them, and
+    criteria 6 and 7 read their own suite's results and time.
+    """
+    runs = {}
+    for name, suite in SUITES.items():
+        t0 = time.perf_counter()
+        results = suite(0)
+        runs[name] = (results, time.perf_counter() - t0)
     return runs

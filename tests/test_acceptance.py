@@ -1,7 +1,9 @@
 """Acceptance suite: one test per numbered criterion, one printed line each.
 
 Long runs (a million cycles per epsilon) are computed once per session in
-the ``long_two_set_runs`` fixture and shared across criteria 3 and 4.
+the ``long_two_set_runs`` fixture and shared across criteria 3 and 4; the
+seed-0 verify suites of criteria 6 and 7 come from the ``seed0_suites``
+fixture, which the golden digests share.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they happen.
@@ -26,7 +28,6 @@ from cycproj import (
     two_set_diagnostics,
     verdict,
 )
-from cycproj.verify import suite_metric, suite_projections
 
 
 def report(num: int, clauses: list[tuple[str, bool]]) -> None:
@@ -177,19 +178,15 @@ def test_criterion_5_twisted_chain_powers():
     ])
 
 
-def test_criterion_6_projection_property_suite():
-    t0 = time.perf_counter()
-    results = suite_projections(seed=0)
-    elapsed = time.perf_counter() - t0
+def test_criterion_6_projection_property_suite(seed0_suites):
+    results, elapsed = seed0_suites["projections"]
     clauses = [(r.line(), r.passed) for r in results]
     clauses.append((f"runtime {elapsed:.1f}s < 60s", elapsed < 60.0))
     report(6, clauses)
 
 
-def test_criterion_7_metric_suite():
-    t0 = time.perf_counter()
-    results = suite_metric(seed=0)
-    elapsed = time.perf_counter() - t0
+def test_criterion_7_metric_suite(seed0_suites):
+    results, elapsed = seed0_suites["metric"]
     clauses = [(r.line(), r.passed) for r in results]
     clauses.append((f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0))
     report(7, clauses)

@@ -53,6 +53,11 @@ class TestRun:
         assert run_cli("run", "unknown-name") == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_bad_epsilon_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("run", "plane-two-sets", "--epsilon", "-1",
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "error: epsilon must be positive, got -1.0\n"
+
     def test_unknown_start_is_usage_error(self, tmp_path, capsys):
         code = run_cli("run", "tripod", "--start", "nowhere",
                        "--out", str(tmp_path / "x.csv"))
@@ -177,6 +182,36 @@ class TestConfigFile:
         assert run_cli("run", "tripod", "--config", str(config),
                        "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("format=xml", "argument --format: invalid choice: 'xml'"),
+        ("n=abc", "argument --n: invalid int value: 'abc'"),
+    ], ids=["format", "n"])
+    def test_config_errors_name_the_flag(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("run", "tripod", "--config", str(config),
+                       "--out", str(tmp_path / "x.csv")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_start_coords_may_start_with_a_minus(self, tmp_path):
+        config = tmp_path / "start.cfg"
+        config.write_text("start_coords=-0.5,0\n")
+        out = tmp_path / "start.csv"
+        assert run_cli("run", "plane-two-sets", "--n", "3", "--config", str(config),
+                       "--out", str(out)) == 0
+        columns = read_trace_csv(out)
+        assert (columns["x"][0], columns["y"][0]) == (-0.5, 0.0)
+
+    @pytest.mark.parametrize("line", ["jobs=2", "param=alpha", "values=1,2", "config=other.cfg"])
+    def test_sweep_config_takes_only_run_options(self, tmp_path, capsys, line):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.5",
+                       "--n", "5", "--config", str(config),
+                       "--out", str(tmp_path / "sweep.json")) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_malformed_config(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("this is not a pair\n")
@@ -224,6 +259,14 @@ class TestRate:
         assert run_cli(*base) == 0
         rate = self.rate_line(capsys.readouterr().out)
         assert "at n=200:" in rate and "at n=1999:" in rate
+
+    def test_rate_window_flag_wins_over_config(self, tmp_path, capsys):
+        config = tmp_path / "rate.cfg"
+        config.write_text("rate_window=100 200\n")
+        assert run_cli("rate", "plane-two-sets", "--n", "2000", "--config", str(config),
+                       "--rate-window", "300", "400", "--out", str(tmp_path / "r.csv")) == 0
+        rate = self.rate_line(capsys.readouterr().out)
+        assert "at n=300:" in rate and "at n=400:" in rate
 
 
 class TestVerify:

@@ -101,10 +101,14 @@ def _failure() -> dict[str, str]:
     return {"failure/1e300": _sha(str(trace.completed), trace.failure, raised)}
 
 
-def _verify(seed: int) -> dict[str, str]:
+def _verify_digests(seed: int, results) -> dict[str, str]:
     return {f"verify-seed{seed}/{r.name}": _sha(r.name, repr(r.worst), repr(r.tol),
                                                   str(r.passed))
-            for r in run_suite("all", seed)}
+            for r in results}
+
+
+def _verify(seed: int) -> dict[str, str]:
+    return _verify_digests(seed, run_suite("all", seed))
 
 
 def _cli() -> dict[str, str]:
@@ -139,8 +143,12 @@ def golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("group", GROUPS)
-def test_digests_unchanged(group, golden):
-    digests = GROUPS[group]()
+def test_digests_unchanged(group, golden, request):
+    if group == "verify-seed0":  # the session's seed-0 suites, shared with criteria 6 and 7
+        runs = request.getfixturevalue("seed0_suites")
+        digests = _verify_digests(0, [r for results, _ in runs.values() for r in results])
+    else:
+        digests = GROUPS[group]()
     expected = {name: d for name, d in golden.items() if name.startswith(group + "/")}
     assert expected, f"no golden entries for {group!r}"
     moved = sorted(name for name in expected.keys() | digests.keys()

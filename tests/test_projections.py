@@ -97,6 +97,14 @@ class TestEpigraph:
         assert res.distance == pytest.approx(PLANE.distance(PlanePoint(3.0, -1.0), res.point),
                                              abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        # one rule for the set and the direct call: a usage error, not a failed solve
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            Epigraph(eps)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            project_epigraph(eps, PlanePoint(3.0, -1.0))
+
     def test_bracketing_failure_reports_inputs(self):
         with pytest.raises(NumericalFailureError, match="1e\\+300"):
             project_epigraph(1.0, PlanePoint(1e300, 0.0))
@@ -470,6 +478,15 @@ class TestDispatcher:
         assert project(tree, leg_seg, StarPoint(1, 0.4)).solver == "golden_section"
         seg = Segment(PlanePoint(-1, -1), PlanePoint(1, 1))
         assert project(PLANE, seg, PlanePoint(3.0, 0.5)).solver == "closed_form"
+
+    @pytest.mark.parametrize("start, end, x", [
+        (PlanePoint(0, 0), PlanePoint(1, 0), StarPoint(0, 0.5)),
+        (StarPoint(0, 0.5), PlanePoint(1, 0), PlanePoint(0, 0.5)),
+        (PlanePoint(0, 0), StarPoint(0, 0.5), PlanePoint(0, 0.5)),
+    ], ids=["point", "start", "end"])
+    def test_plane_segment_checks_every_argument(self, start, end, x):
+        with pytest.raises(TypeError, match="expected PlanePoint, got StarPoint"):
+            project(PLANE, Segment(start, end), x)
 
     def test_wrong_space_pairings(self, tripod):
         with pytest.raises(TypeError):
