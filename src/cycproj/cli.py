@@ -115,7 +115,14 @@ def _config_argv(path: str) -> list[str]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             flag = "--" + key.replace("_", "-")
-            argv += [flag, *value.split()] if key == "rate_window" else [f"{flag}={value.strip()}"]
+            if key == "rate_window":
+                # checked here: a wrong count would make argparse blame the next word
+                words = value.split()
+                if len(words) != 2:
+                    raise ValueError("config key 'rate_window' takes 2 values")
+                argv += [flag, *words]
+            else:
+                argv.append(f"{flag}={value.strip()}")
     return argv
 
 

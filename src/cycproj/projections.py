@@ -117,11 +117,26 @@ class CrossDisc:
 ConvexSet = Segment | AxisLine | Epigraph | CrossDisc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProjectionResult:
+    """A projector's foot, its distance from the projected point, and the solver tag.
+
+    Built by every projection, so ``__init__`` writes the three slots directly.
+    """
+
     point: object
     distance: float
     solver: str
+
+    def __init__(self, point: object, distance: float, solver: str) -> None:
+        _set_result_point(self, point)
+        _set_result_distance(self, distance)
+        _set_result_solver(self, solver)
+
+
+_set_result_point = ProjectionResult.point.__set__
+_set_result_distance = ProjectionResult.distance.__set__
+_set_result_solver = ProjectionResult.solver.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,17 @@ the command line: ``coord_names`` labels the coordinates, ``to_coords(p)``
 lists them and ``from_coords(values)`` rebuilds the point through the
 validating ``point()``.
 
-Validation happens at the public surface: ``point``, ``distance`` and
-``geodesic`` check every point they are given (``_check``) and raise
-``TypeError`` or ``ValueError`` for a point that is not on the space.
-``_distance`` and ``_geodesic`` are the unchecked internals behind them, for
-callers that have already validated their points; a product space combines
-its factors' internals, so each factor point is checked once per call.
+Validation happens where values enter.  Each point class's ``__init__``
+checks that its coordinates are finite (and a star point's offset that it is
+nonnegative), then writes its slots directly through the slot descriptors
+rather than the frozen dataclass's per-field ``object.__setattr__``; there
+is no unchecked constructor.  Whether a point lies on a given space is a
+property of the space, so ``point``, ``distance`` and ``geodesic`` still
+check every point they are given (``_check``) and raise ``TypeError`` or
+``ValueError`` for a point that is not on it.  ``_distance`` and
+``_geodesic`` are the unchecked internals behind them, for callers that have
+already validated their points; a product space combines its factors'
+internals, so each factor point is checked once per call.
 """
 
 from __future__ import annotations
@@ -68,14 +73,21 @@ def _check_unit_interval(t: float) -> None:
 # Euclidean plane
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PlanePoint:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            _require_finite("x", x)
+            _require_finite("y", y)
+        _set_plane_x(self, x)
+        _set_plane_y(self, y)
+
+
+_set_plane_x = PlanePoint.x.__set__
+_set_plane_y = PlanePoint.y.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +136,7 @@ class Plane:
 # Star trees
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StarPoint:
     """A point on a star tree: leg index plus distance from the center.
 
@@ -136,17 +148,24 @@ class StarPoint:
     leg: int
     offset: float
 
-    def __post_init__(self) -> None:
-        _require_finite("offset", self.offset)
-        if self.offset < 0.0:
-            raise ValueError(f"offset must be >= 0, got {self.offset!r}")
-        if self.offset == 0.0:
-            object.__setattr__(self, "leg", 0)
-            object.__setattr__(self, "offset", 0.0)  # normalizes -0.0
+    def __init__(self, leg: int, offset: float) -> None:
+        # finiteness first: it is what rejects a non-number such as "a"
+        if not math.isfinite(offset):
+            _require_finite("offset", offset)
+        if offset < 0.0:
+            raise ValueError(f"offset must be >= 0, got {offset!r}")
+        if offset == 0.0:
+            leg, offset = 0, 0.0  # normalizes -0.0
+        _set_star_leg(self, leg)
+        _set_star_offset(self, offset)
 
     @property
     def is_center(self) -> bool:
         return self.offset == 0.0
+
+
+_set_star_leg = StarPoint.leg.__set__
+_set_star_offset = StarPoint.offset.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,10 +259,18 @@ class StarTree:
 # Products
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProductPoint:
     left: object
     right: object
+
+    def __init__(self, left: object, right: object) -> None:
+        _set_product_left(self, left)
+        _set_product_right(self, right)
+
+
+_set_product_left = ProductPoint.left.__set__
+_set_product_right = ProductPoint.right.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +333,7 @@ class ProductSpace:
 # Twisted chain
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ChainPoint:
     """Point of the twisted chain: disc coordinates (u, v) and a height."""
 
@@ -314,10 +341,19 @@ class ChainPoint:
     v: float
     height: float
 
-    def __post_init__(self) -> None:
-        _require_finite("u", self.u)
-        _require_finite("v", self.v)
-        _require_finite("height", self.height)
+    def __init__(self, u: float, v: float, height: float) -> None:
+        if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(height)):
+            _require_finite("u", u)
+            _require_finite("v", v)
+            _require_finite("height", height)
+        _set_chain_u(self, u)
+        _set_chain_v(self, v)
+        _set_chain_height(self, height)
+
+
+_set_chain_u = ChainPoint.u.__set__
+_set_chain_v = ChainPoint.v.__set__
+_set_chain_height = ChainPoint.height.__set__
 
 
 _RADIUS_SLACK = 1e-12

@@ -260,6 +260,17 @@ class TestRate:
         rate = self.rate_line(capsys.readouterr().out)
         assert "at n=200:" in rate and "at n=1999:" in rate
 
+    @pytest.mark.parametrize("words", ["100", "100 200 300"], ids=["one", "three"])
+    def test_config_rate_window_needs_two_words(self, tmp_path, capsys, words):
+        config = tmp_path / "rate.cfg"
+        config.write_text(f"rate_window={words}\n")
+        assert run_cli("rate", "plane-two-sets", "--config", str(config),
+                       "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert "config key 'rate_window' takes 2 values" in err
+        assert "plane-two-sets" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_rate_window_flag_wins_over_config(self, tmp_path, capsys):
         config = tmp_path / "rate.cfg"
         config.write_text("rate_window=100 200\n")
