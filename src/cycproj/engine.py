@@ -12,8 +12,8 @@ auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
 
 ``iterate`` picks its loop from the types of its inputs.  A ``Plane`` with
 the sets ``(AxisLine(), Epigraph(eps))`` runs a float kernel: x_n stays on
-the axis, one call to the epigraph projector's float core gives each
-cycle's foot, and points are built only where the trace stores them.  Its
+the axis, one call to the epigraph solver gives the feet of a block of
+cycles, and points are built only where the trace stores them.  Its
 output is bitwise the generic loop's.  Every other space or set tuple,
 including the reversed pair ``(Epigraph(eps), AxisLine())``, runs the
 generic loop through ``project`` and ``space.distance``.
@@ -33,7 +33,7 @@ from .projections import (
     ConvexSet,
     Epigraph,
     NumericalFailureError,
-    _epigraph_foot,
+    _epigraph_feet,
     project,
 )
 from .spaces import Plane, PlanePoint
@@ -52,6 +52,7 @@ __all__ = [
 
 _DECIMATION_THRESHOLD = 100_000
 _POINTS_KEPT = 10_000
+_BLOCK = 256  # cycles the two-set kernel solves per call of the epigraph solver
 
 
 @dataclass
@@ -210,36 +211,45 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
     """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
     A cycle projects x onto the epigraph, giving the foot y = (u, height),
-    and y onto the axis, giving (u, 0).  The foot comes from the epigraph
-    projector's float core and every distance is the ``math.hypot`` that
-    ``Plane.distance`` evaluates, with the same operands in the same order,
-    so the trace is bitwise the generic loop's.  Points are built only where
-    the trace stores them; ``start`` is validated once, here, and epsilon by
-    the ``Epigraph`` constructor.
+    and y onto the axis, giving (u, 0).  :func:`_epigraph_feet` solves the
+    feet ``_BLOCK`` cycles per call, and every distance is the ``math.hypot``
+    that ``Plane.distance`` evaluates, with the same operands in the same
+    order, so the trace is bitwise the generic loop's.  Points are built only
+    where the trace stores them; ``start`` is validated once, here, and
+    epsilon by the ``Epigraph`` constructor.
     """
     epsilon = sets[1].epsilon
     space._check(start)
-    foot, hypot, isfinite = _epigraph_foot, math.hypot, math.isfinite
+    hypot, isfinite = math.hypot, math.isfinite
     n = len(r)
     x_x, x_y = start.x, start.y
     y_x = y_y = 0.0
-    for i in range(n):
+    i = 0
+    while i < n:
+        us, heights = [], []
+        failure = None
         try:
-            u, height, _ = foot(epsilon, x_x, x_y)
+            _epigraph_feet(epsilon, x_x, x_y, min(_BLOCK, n - i), us, heights)
         except NumericalFailureError as exc:
-            return i, PlanePoint(x_x, x_y), str(exc)
-        if not (isfinite(u) and isfinite(height)):
-            PlanePoint(u, height)  # raises the error the generic loop raises here
-        r[i] = hypot(x_x - u, x_y - 0.0)  # d(x, x_next)
-        b_arr[i] = hypot(u - x_x, height - x_y)  # d(y, x)
-        a_arr[i + 1] = hypot(u - u, 0.0 - height)  # d(x_next, y)
-        if i:
-            s_arr[i] = hypot(y_x - u, y_y - height)  # d(y_prev, y)
-        y_x, y_y = u, height
-        if (i + 1) % stride <= 1 or i + 1 == n:
-            point_indices.append(i + 1)
-            points.append(PlanePoint(u, 0.0))
-        x_x, x_y = u, 0.0
+            failure = str(exc)
+        finally:
+            # a non-finite foot raises here before any error of a later cycle
+            for u, height in zip(us, heights):
+                if not (isfinite(u) and isfinite(height)):
+                    PlanePoint(u, height)  # raises the error the generic loop raises here
+                r[i] = hypot(x_x - u, x_y - 0.0)  # d(x, x_next)
+                b_arr[i] = hypot(u - x_x, height - x_y)  # d(y, x)
+                a_arr[i + 1] = hypot(u - u, 0.0 - height)  # d(x_next, y)
+                if i:
+                    s_arr[i] = hypot(y_x - u, y_y - height)  # d(y_prev, y)
+                y_x, y_y = u, height
+                i += 1
+                if i % stride <= 1 or i == n:
+                    point_indices.append(i)
+                    points.append(PlanePoint(u, 0.0))
+                x_x, x_y = u, 0.0
+        if failure is not None:
+            return i, PlanePoint(x_x, x_y), failure
     return n, None, None
 
 

@@ -354,8 +354,8 @@ _MAX_DOUBLINGS = 200
 _MAX_NEWTON = 200
 
 
-def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, float]:
-    """[lo, hi] with g(lo) <= 0 <= g(hi), by doubling or halving from u = 1."""
+def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...]:
+    """[lo, hi] with g(lo) <= 0 <= g(hi) from u = 1, then its midpoint d and g, g' there."""
     g1, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, 1.0)
     lo = hi = 1.0
     if g1 < 0.0:
@@ -382,62 +382,80 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, flo
                 f"failed to bracket the epigraph foot from ({x0!r}, {y0!r}), "
                 f"epsilon={epsilon!r}: no sign change within {_MAX_DOUBLINGS} halvings"
             )
-    return lo, hi
+    d = 0.5 * (lo + hi)
+    return (lo, hi, d) + _epigraph_stationarity(epsilon, x0, y0, 0.0, d)
 
 
-def _epigraph_foot(epsilon: float, x0: float, y0: float) -> tuple[float, float, str]:
-    """Float core of :func:`project_epigraph` for a validated point (x0, y0).
+def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
+                   us: list, heights: list) -> str:
+    """Run ``cycles`` cycles of the axis-epigraph iteration from (x0, y0) on floats.
 
-    Returns the foot's coordinates ``(u, height)`` and the solver tag: a
-    point already in the set is its own foot (``closed_form``), any other is
-    solved by Newton (``newton``).
+    Each cycle appends the epigraph foot (u, height) of the current point to
+    ``us`` and ``heights`` and drops it onto the axis at (u, 0.0).
+    u**(-epsilon) is carried from each height to the next cycle, and g and g'
+    are evaluated inline by the expressions of :func:`_epigraph_stationarity`.
+    A failure raises :class:`NumericalFailureError`; the feet solved before it
+    stay in the lists.  Returns the first cycle's solver tag.
     """
-    if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
-        return x0, y0, "closed_form"
-
-    h0 = math.inf
-    if x0 > 0.0:
-        g, gp = _epigraph_stationarity(epsilon, x0, y0, x0, 0.0)
-        # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
-        h0 = 0.0 - g
-    if h0 <= x0:
-        if x0 + h0 == x0:
-            raise NumericalFailureError(
-                f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
-                f"one ulp of x0: the bracket width {h0!r} does not move x0"
-            )
-        base, lo, hi, d = x0, 0.0, h0, 0.0
-    else:
-        base = 0.0
-        lo, hi = _geometric_bracket(epsilon, x0, y0)
-        d = 0.5 * (lo + hi)
-        g, gp = _epigraph_stationarity(epsilon, x0, y0, base, d)
-
-    scale = max(1.0, abs(x0), abs(y0))
-    for _ in range(_MAX_NEWTON):
-        if abs(g) <= _TOL * scale:
-            break
-        if g > 0.0:
-            hi = d
+    solver = "newton"
+    e = x0 ** (-epsilon) if x0 > 0.0 else 0.0
+    if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
+        us.append(x0)
+        heights.append(y0)
+        cycles, y0, solver = cycles - 1, 0.0, "closed_form"
+    for _ in range(cycles):
+        h0 = math.inf
+        if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
+            k = epsilon * e / x0
+            tail = 1.0 + e - y0
+            g = 0.0 - k * tail
+            gp = 1.0 + (epsilon + 1.0) * (k / x0) * tail + k * k
+            # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
+            h0 = 0.0 - g
+        if h0 <= x0:
+            if x0 + h0 == x0:
+                raise NumericalFailureError(
+                    f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
+                    f"one ulp of x0: the bracket width {h0!r} does not move x0"
+                )
+            base, lo, hi, d = x0, 0.0, h0, 0.0
         else:
-            lo = d
-        d_next = d - g / gp
-        if not (lo < d_next < hi):
-            d_next = 0.5 * (lo + hi)
-        d = d_next
-        g, gp = _epigraph_stationarity(epsilon, x0, y0, base, d)
-    else:
-        raise NumericalFailureError(
-            f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), epsilon={epsilon!r}"
-        )
+            base = 0.0
+            lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
 
-    # One unguarded Newton step from the converged residual pushes the foot
-    # to machine precision; the two-set step-size chains are checked with
-    # 1e-12 slack downstream.
-    d -= g / gp
+        scale = max(1.0, abs(x0), abs(y0))
+        for _ in range(_MAX_NEWTON):
+            if abs(g) <= _TOL * scale:
+                break
+            if g > 0.0:
+                hi = d
+            else:
+                lo = d
+            d_next = d - g / gp
+            if not (lo < d_next < hi):
+                d_next = 0.5 * (lo + hi)
+            d = d_next
+            u = base + d
+            e = u ** (-epsilon)
+            k = epsilon * e / u
+            tail = 1.0 + e - y0
+            g = (d - (x0 - base)) - k * tail
+            gp = 1.0 + (epsilon + 1.0) * (k / u) * tail + k * k
+        else:
+            raise NumericalFailureError(
+                f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), epsilon={epsilon!r}"
+            )
 
-    u = base + d
-    return u, 1.0 + u ** (-epsilon), "newton"
+        # One unguarded Newton step from the converged residual pushes the foot
+        # to machine precision; the two-set step-size chains are checked with
+        # 1e-12 slack downstream.
+        d -= g / gp
+        x0 = base + d
+        e = x0 ** (-epsilon)
+        us.append(x0)
+        heights.append(1.0 + e)
+        y0 = 0.0
+    return solver
 
 
 def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
@@ -446,9 +464,9 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     Points already in the set are returned unchanged.  Otherwise the foot is
     the unique root of the stationarity function g(u) = (u - x0) - h(u)
     along the boundary (see :func:`_epigraph_stationarity`): outside points
-    sit on the convex side of the boundary curve.  The solve itself is the
-    float core :func:`_epigraph_foot`, which the two-set kernel in
-    :mod:`cycproj.engine` calls directly.
+    sit on the convex side of the boundary curve.  The solve is one cycle of
+    :func:`_epigraph_feet`, which the two-set kernel in :mod:`cycproj.engine`
+    runs for a block of cycles per call.
 
     For x0 > 0 the root is solved for the increment d = u - x0 on the
     closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
@@ -469,11 +487,11 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     _check_epsilon(epsilon)
     if not isinstance(x, PlanePoint):
         raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
-    u, height, solver = _epigraph_foot(epsilon, x.x, x.y)
-    if solver == "closed_form":
-        return ProjectionResult(x, 0.0, solver)
-    foot = PlanePoint(u, height)
-    return ProjectionResult(foot, math.hypot(u - x.x, height - x.y), solver)
+    us, heights = [], []
+    if _epigraph_feet(epsilon, x.x, x.y, 1, us, heights) == "closed_form":
+        return ProjectionResult(x, 0.0, "closed_form")
+    u, height = us[0], heights[0]
+    return ProjectionResult(PlanePoint(u, height), math.hypot(u - x.x, height - x.y), "newton")
 
 
 # ---------------------------------------------------------------------------

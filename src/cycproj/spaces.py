@@ -217,12 +217,14 @@ class StarTree:
         if not isinstance(p, StarPoint):
             raise TypeError(f"expected StarPoint, got {type(p).__name__}")
         lengths = self.leg_lengths
-        if not (0 <= p.leg < len(lengths)):
-            raise ValueError(f"leg index {p.leg} out of range for {len(lengths)}-leg tree")
-        if p.offset > lengths[p.leg]:
-            raise ValueError(
-                f"offset {p.offset!r} exceeds leg {p.leg} length {lengths[p.leg]!r}"
-            )
+        try:
+            if not (0 <= p.leg < len(lengths)):
+                raise ValueError(f"leg index {p.leg} out of range for {len(lengths)}-leg tree")
+            length = lengths[p.leg]
+        except TypeError:  # StarPoint does not check its leg
+            raise TypeError(f"leg index must be an int, got {p.leg!r}") from None
+        if p.offset > length:
+            raise ValueError(f"offset {p.offset!r} exceeds leg {p.leg} length {length!r}")
 
     def distance(self, p: StarPoint, q: StarPoint) -> float:
         """Length metric: |offsets| apart on one leg, through the center otherwise."""

@@ -23,6 +23,7 @@ from cycproj import (
     two_set_diagnostics,
     verdict,
 )
+from cycproj.engine import _BLOCK
 
 DELTA = math.sqrt(2.0) / 4.0
 
@@ -273,6 +274,42 @@ class TestAxisEpigraphKernel:
         for sets in ((Epigraph(0.5), AxisLine()), (AxisLine(), AxisLine())):
             with pytest.raises(AssertionError, match="generic loop used"):
                 iterate(Plane(), sets, start, 10)
+
+    def test_blocks_join_bitwise(self):
+        # the kernel solves _BLOCK cycles per solver call; stride 7 stores
+        # points on both sides of each block edge
+        space, sets, n = Plane(), (AxisLine(), Epigraph(0.5)), 2 * _BLOCK + 3
+        for start in (PlanePoint(1.3, 0.0), PlanePoint(2.0, 5.0), PlanePoint(-3.0, 2.0)):
+            assert outcome(iterate, space, sets, start, n, stride=7) == \
+                outcome(reference_iterate, space, sets, start, n, stride=7)
+
+    @pytest.mark.parametrize("cycles_run", [_BLOCK, _BLOCK + 1])
+    def test_failure_on_and_past_a_block_edge(self, cycles_run):
+        # as in the six-ulp test above, a start k ulps below 2**23 runs k
+        # cycles and fails on the next: here the first cycle of the second
+        # block, then the second cycle of it
+        space, sets = Plane(), (AxisLine(), Epigraph(0.25))
+        start = PlanePoint(2.0**23 - cycles_run * 2.0**-30, 0.0)
+        kernel = outcome(iterate, space, sets, start, 3 * _BLOCK, stride=7)
+        assert kernel == outcome(reference_iterate, space, sets, start, 3 * _BLOCK, stride=7)
+        assert kernel[7] and len(kernel[0]) == 8 * cycles_run
+        assert kernel[5][-1] == cycles_run
+
+    @pytest.mark.parametrize("later", [NumericalFailureError("a later cycle failed"),
+                                       ZeroDivisionError("a later cycle divided by 0")])
+    def test_non_finite_foot_raises_before_a_later_error(self, monkeypatch, later):
+        # the generic loop raises at the first non-finite foot, so a solver
+        # that went on past one must not turn it into a later cycle's error
+        import cycproj.engine
+
+        def feet(epsilon, x0, y0, cycles, us, heights):
+            us += [2.0, math.nan]
+            heights += [1.5, 1.0]
+            raise later
+
+        monkeypatch.setattr(cycproj.engine, "_epigraph_feet", feet)
+        with pytest.raises(ValueError, match="x must be finite, got nan"):
+            iterate(Plane(), (AxisLine(), Epigraph(0.5)), PlanePoint(1.3, 0.0), 10)
 
 
 class TestTwoSetDiagnostics:

@@ -102,6 +102,14 @@ class TestStarTree:
         assert tree.point(1.0, 0.3) == StarPoint(1, 0.3)  # as a CSV writes leg 1
         assert tree.point(0.0, 0.3) == StarPoint(0, 0.3)
 
+    @pytest.mark.parametrize("leg", [None, 1.5, "0"])
+    def test_non_integer_leg_is_named(self, tree, leg):
+        # StarPoint does not check its leg; the tree's check names it
+        with pytest.raises(TypeError, match=r"leg index must be an int, got "):
+            tree.distance(StarPoint(leg, 0.5), tree.center)
+        with pytest.raises(TypeError, match=r"leg index must be an int, got "):
+            tree.geodesic(tree.center, StarPoint(leg, 0.5), 0.5)
+
     @given(
         legs=st.tuples(*([st.floats(0.5, 2.0)] * 3)),
         picks=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
