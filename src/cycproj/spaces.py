@@ -220,11 +220,11 @@ class StarTree:
         try:
             if not (0 <= p.leg < len(lengths)):
                 raise ValueError(f"leg index {p.leg} out of range for {len(lengths)}-leg tree")
-            length = lengths[p.leg]
-        except TypeError:  # StarPoint does not check its leg
+            if p.offset > lengths[p.leg]:
+                raise ValueError(f"offset {p.offset!r} exceeds leg {p.leg} "
+                                 f"length {lengths[p.leg]!r}")
+        except TypeError:  # StarPoint checks its offset but not its leg
             raise TypeError(f"leg index must be an int, got {p.leg!r}") from None
-        if p.offset > length:
-            raise ValueError(f"offset {p.offset!r} exceeds leg {p.leg} length {length!r}")
 
     def distance(self, p: StarPoint, q: StarPoint) -> float:
         """Length metric: |offsets| apart on one leg, through the center otherwise."""
