@@ -395,14 +395,13 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
     u**(-epsilon) is carried from each height to the next cycle, and g and g'
     are evaluated inline by the expressions of :func:`_epigraph_stationarity`.
     A failure raises :class:`NumericalFailureError`; the feet solved before it
-    stay in the lists.  Returns the first cycle's solver tag.
+    stay in the lists.
     """
-    solver = "newton"
     e = x0 ** (-epsilon) if x0 > 0.0 else 0.0
     if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
         us.append(x0)
         heights.append(y0)
-        cycles, y0, solver = cycles - 1, 0.0, "closed_form"
+        cycles, y0 = cycles - 1, 0.0
     for _ in range(cycles):
         h0 = math.inf
         if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
@@ -455,7 +454,6 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
         us.append(x0)
         heights.append(1.0 + e)
         y0 = 0.0
-    return solver
 
 
 def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
@@ -487,11 +485,13 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     _check_epsilon(epsilon)
     if not isinstance(x, PlanePoint):
         raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
-    us, heights = [], []
-    if _epigraph_feet(epsilon, x.x, x.y, 1, us, heights) == "closed_form":
+    x0, y0 = x.x, x.y
+    if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
         return ProjectionResult(x, 0.0, "closed_form")
+    us, heights = [], []
+    _epigraph_feet(epsilon, x0, y0, 1, us, heights)
     u, height = us[0], heights[0]
-    return ProjectionResult(PlanePoint(u, height), math.hypot(u - x.x, height - x.y), "newton")
+    return ProjectionResult(PlanePoint(u, height), math.hypot(u - x0, height - y0), "newton")
 
 
 # ---------------------------------------------------------------------------

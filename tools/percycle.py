@@ -1,17 +1,16 @@
 """Print the cost of one cycle per scenario: README's per-cycle table.
 
-    python3 tools/percycle.py [--runs 15] [--cycles 2000] [SCENARIO ...]
+    python3 tools/percycle.py
 
-Each scenario (by default tripod, twisted-chain and plane-two-sets, with
-their default parameters) runs ``iterate`` for ``--cycles`` cycles from its
-default start ``--runs`` times.  The table gives the fastest run's time per
-cycle, in µs, and the slowest for a sense of the spread.  The library is
-imported from this checkout's ``src/``.
+Each of tripod, twisted-chain and plane-two-sets, with its default
+parameters, runs ``iterate`` for 2 000 cycles from its default start 15
+times.  The table gives the fastest run's time per cycle, in µs, and the
+slowest for a sense of the spread.  The library is imported from this
+checkout's ``src/``.
 """
 
 from __future__ import annotations
 
-import argparse
 import platform
 import sys
 import time
@@ -21,7 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cycproj import build_scenario, iterate  # noqa: E402
 
-DEFAULT_SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets")
+SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets")
+RUNS = 15
+CYCLES = 2000
 
 
 def per_cycle_us(name: str, runs: int, cycles: int) -> list[float]:
@@ -39,19 +40,12 @@ def per_cycle_us(name: str, runs: int, cycles: int) -> list[float]:
     return times
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("scenarios", nargs="*", default=list(DEFAULT_SCENARIOS))
-    parser.add_argument("--runs", type=int, default=15)
-    parser.add_argument("--cycles", type=int, default=2000)
-    args = parser.parse_args(argv)
-    if args.runs < 1 or args.cycles < 1:
-        parser.error("--runs and --cycles must be at least 1")
-    print(f"# min of {args.runs} runs of {args.cycles}-cycle iterate; Python "
+def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
+    print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
           f"{platform.python_version()}, {platform.machine()}")
     print(f"{'scenario':<16} {'min us/cycle':>12} {'max us/cycle':>12}")
-    for name in args.scenarios:
-        times = per_cycle_us(name, args.runs, args.cycles)
+    for name in SCENARIOS:
+        times = per_cycle_us(name, runs, cycles)
         print(f"{name:<16} {min(times):>12.2f} {max(times):>12.2f}")
     return 0
 
