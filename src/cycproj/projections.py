@@ -387,7 +387,7 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...
 
 
 def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
-                   us: list, heights: list) -> str:
+                   us: list, heights: list) -> None:
     """Run ``cycles`` cycles of the axis-epigraph iteration from (x0, y0) on floats.
 
     Each cycle appends the epigraph foot (u, height) of the current point to
