@@ -126,7 +126,11 @@ def build_twisted_chain(alpha: float = 1.0, radius: float = 0.1,
     Cycling through the discs in descending-height order transports a point
     once around the chain; the single wrap happens in the first applied
     projection, so one full cycle rotates the bottom disc by exactly the
-    twist angle.
+    twist angle.  The step from a start on the bottom disc at radius rho is
+    ``min(2 rho |sin(alpha/2)|, circumference)``: the chord only while it
+    is at most one loop, which every start meets when
+    ``2 * radius <= circumference``; past that the lift one loop down is
+    nearer.
     """
     chain = TwistedChain(radius=radius, circumference=circumference, twist=alpha)
     return Scenario(

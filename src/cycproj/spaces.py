@@ -359,9 +359,9 @@ _set_chain_height = ChainPoint.height.__set__
 
 
 _RADIUS_SLACK = 1e-12
-# Heights are normalized to [0, circumference), so |dh| < circumference and
-# the lift window of ``TwistedChain.distance`` never exceeds 4.
-_MAX_LIFT = 4
+# Widest lift window |k| <= _MAX_LIFT of ``TwistedChain.distance``; a chain
+# whose radius needs a wider one is rejected.
+_MAX_LIFT = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,14 +375,15 @@ class TwistedChain:
     discs sit at ``disc_heights``: 0, 1/3 and 2/3 of the circumference.
 
     The quotient is flat but not simply connected, so it is not globally
-    CAT(0); only distances and disc projections are defined on it.
+    CAT(0); only distances and disc projections are defined on it.  A chain
+    whose disc diameter exceeds about ``_MAX_LIFT - 1`` loops is rejected.
     """
 
     radius: float
     circumference: float
     twist: float
     disc_heights: tuple[float, float, float] = field(init=False)
-    # (cos k*twist, sin k*twist, k*circumference) for k = -_MAX_LIFT .. _MAX_LIFT
+    # (cos k*twist, sin k*twist, k*circumference) for |k| <= the lift window
     _lifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -401,9 +402,17 @@ class TwistedChain:
             raise ValueError(f"disc heights must lie in [0, {lam!r})")
         if not (heights[0] < heights[1] < heights[2]):
             raise ValueError("disc heights must be strictly increasing")
+        # Lift 0 or +-1 is within B = hypot(2 r', lam/2), r' the widest radius
+        # _check accepts, and lift k is over (|k| - 1) * lam away vertically.
+        reach = math.hypot(2.0 * math.sqrt(self.radius * self.radius + _RADIUS_SLACK),
+                           lam / 2.0) / lam
+        if not reach <= _MAX_LIFT - 1:
+            raise ValueError(f"radius {self.radius!r} is too wide for circumference {lam!r}: "
+                             f"the distance would scan more than {_MAX_LIFT} lifts each way")
+        window = 1 + math.ceil(reach)
         object.__setattr__(self, "_lifts", tuple(
             (math.cos(k * self.twist), math.sin(k * self.twist), k * lam)
-            for k in range(-_MAX_LIFT, _MAX_LIFT + 1)
+            for k in range(-window, window + 1)
         ))
 
     coord_names = ("u", "v", "height")
@@ -455,10 +464,8 @@ class TwistedChain:
         """Quotient metric: best match over lifts of q.
 
         The lift ``k`` places q at disc coordinates ``R_{k*twist}(q)`` and
-        height ``q.height + k*circumference``.  Any lift beyond the scanned
-        window adds at least one full circumference of vertical distance on
-        top of an already-enumerated candidate, so the window provably
-        contains the minimizer.
+        height ``q.height + k*circumference``.  The scanned lifts, fixed per
+        chain from its radius and circumference, contain the nearest one.
         """
         self._check(p)
         self._check(q)
@@ -468,11 +475,9 @@ class TwistedChain:
         # Canonical argument order makes d(p, q) and d(q, p) bitwise equal.
         if (p.height, p.u, p.v) > (q.height, q.u, q.v):
             p, q = q, p
-        lam = self.circumference
         dh = p.height - q.height
-        window = 2 + math.ceil((abs(dh) + lam) / lam)
         best = math.inf
-        for c, s, shift in self._lifts[_MAX_LIFT - window:_MAX_LIFT + window + 1]:
+        for c, s, shift in self._lifts:
             du = p.u - (c * q.u - s * q.v)
             dv = p.v - (s * q.u + c * q.v)
             dz = dh - shift

@@ -19,12 +19,25 @@ Suites:
 Each check seeds its own ``numpy.random.Generator`` and draws its samples in
 a fixed order.  Scalar uniforms come from ``_uniform``, which is bitwise
 ``rng.uniform(lo, hi)`` computed from the cheaper ``rng.random()``.
+
+The ``metric`` and ``projections`` suites run as parts: a part is one check
+on one space, or one property on one projection target, a function of the
+seed alone.  ``_run_parts`` runs them in a pool of one worker per CPU this
+process may use (``os.sched_getaffinity``) and returns their results in
+order; a labelled worst then takes the earliest of equal targets, so every
+result is bitwise that of one pass.  Workers are forked: they see the module
+as the caller has it, patched sample counts included, and import nothing
+again (the parts call no BLAS, whose threads are the process's only others).
+``two-set`` and ``counterexamples`` are too short to gain and run in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -135,36 +148,34 @@ def _spaces_with_samplers():
 # Metric suite
 
 
-def suite_metric(seed: int = 0) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _metric_axioms(seed: int, index: int) -> list[CheckResult]:
+    label, space, sampler = _spaces_with_samplers()[index]
+    rng = np.random.default_rng(seed)
+    worst_sym = 0.0
+    worst_tri = 0.0
+    for _ in range(_METRIC_SAMPLES):
+        p, q, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
+        dpq, dqp = space.distance(p, q), space.distance(q, p)
+        worst_sym = max(worst_sym, abs(dpq - dqp))
+        worst_tri = max(worst_tri, space.distance(p, z) - dpq - space.distance(q, z))
+    return [CheckResult(f"metric-symmetry[{label}]", worst_sym == 0.0, worst_sym, 0.0, seed),
+            CheckResult(f"metric-triangle[{label}]", worst_tri <= 1e-12,
+                        worst_tri, 1e-12, seed)]
 
-    for label, space, sampler in _spaces_with_samplers():
-        rng = np.random.default_rng(seed)
-        worst_sym = 0.0
-        worst_tri = 0.0
-        for _ in range(_METRIC_SAMPLES):
-            p, q, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
-            dpq, dqp = space.distance(p, q), space.distance(q, p)
-            worst_sym = max(worst_sym, abs(dpq - dqp))
-            worst_tri = max(worst_tri, space.distance(p, z) - dpq - space.distance(q, z))
-        checks.append(CheckResult(f"metric-symmetry[{label}]", worst_sym == 0.0,
-                                  worst_sym, 0.0, seed))
-        checks.append(CheckResult(f"metric-triangle[{label}]", worst_tri <= 1e-12,
-                                  worst_tri, 1e-12, seed))
 
-    for label, space, sampler in _spaces_with_samplers():
-        if not hasattr(space, "geodesic"):
-            continue
-        rng = np.random.default_rng(seed + 1)
-        worst = 0.0
-        for _ in range(_METRIC_SAMPLES):
-            p, q = sampler(rng, space), sampler(rng, space)
-            t1, t2 = sorted((rng.random(), rng.random()))
-            g1, g2 = space.geodesic(p, q, t1), space.geodesic(p, q, t2)
-            worst = max(worst, abs(space.distance(g1, g2) - (t2 - t1) * space.distance(p, q)))
-        checks.append(CheckResult(f"constant-speed[{label}]", worst <= 1e-12,
-                                  worst, 1e-12, seed + 1))
+def _constant_speed(seed: int, index: int) -> list[CheckResult]:
+    label, space, sampler = _spaces_with_samplers()[index]
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(_METRIC_SAMPLES):
+        p, q = sampler(rng, space), sampler(rng, space)
+        t1, t2 = sorted((rng.random(), rng.random()))
+        g1, g2 = space.geodesic(p, q, t1), space.geodesic(p, q, t2)
+        worst = max(worst, abs(space.distance(g1, g2) - (t2 - t1) * space.distance(p, q)))
+    return [CheckResult(f"constant-speed[{label}]", worst <= 1e-12, worst, 1e-12, seed + 1)]
 
+
+def _star_gluing(seed: int) -> list[CheckResult]:
     tree = StarTree.unit(3)
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
@@ -175,20 +186,21 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
         direct = tree.distance(p, q)
         through = tree.distance(p, tree.center) + tree.distance(tree.center, q)
         worst = max(worst, abs(direct - through))
-    checks.append(CheckResult("star-gluing", worst == 0.0, worst, 0.0, seed + 2))
+    return [CheckResult("star-gluing", worst == 0.0, worst, 0.0, seed + 2)]
 
-    for label, space, sampler in _spaces_with_samplers():
-        if label in ("star-tree", "chain"):
-            continue  # the CN suites of record are the plane and the product
-        rng = np.random.default_rng(seed + 3)
-        worst = 0.0
-        for _ in range(_METRIC_SAMPLES):
-            x, y, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
-            worst = min(worst, cn_check(space, x, y, z))
-        checks.append(CheckResult(f"cn-margin[{label}]", worst >= -1e-12,
-                                  -worst, 1e-12, seed + 3,
-                                  detail="worst negative CN margin"))
 
+def _cn_margin(seed: int, index: int) -> list[CheckResult]:
+    label, space, sampler = _spaces_with_samplers()[index]
+    rng = np.random.default_rng(seed + 3)
+    worst = 0.0
+    for _ in range(_METRIC_SAMPLES):
+        x, y, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
+        worst = min(worst, cn_check(space, x, y, z))
+    return [CheckResult(f"cn-margin[{label}]", worst >= -1e-12, -worst, 1e-12, seed + 3,
+                        detail="worst negative CN margin")]
+
+
+def _chain_representatives(seed: int) -> list[CheckResult]:
     chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
@@ -199,10 +211,23 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
         q2 = chain.point(c * q.u - s * q.v, s * q.u + c * q.v,
                          q.height + chain.circumference)
         worst = max(worst, abs(chain.distance(p, q) - chain.distance(p, q2)))
-    checks.append(CheckResult("chain-representative-independence", worst < 1e-12,
-                              worst, 1e-12, seed + 4))
+    return [CheckResult("chain-representative-independence", worst < 1e-12,
+                        worst, 1e-12, seed + 4)]
 
-    return checks
+
+def suite_metric(seed: int = 0) -> list[CheckResult]:
+    spaces = _spaces_with_samplers()
+    parts = [
+        *(partial(_metric_axioms, index=i) for i in range(len(spaces))),
+        *(partial(_constant_speed, index=i)
+          for i, (_, space, _) in enumerate(spaces) if hasattr(space, "geodesic")),
+        _star_gluing,
+        # the CN suites of record are the plane and the product
+        *(partial(_cn_margin, index=i)
+          for i, (label, _, _) in enumerate(spaces) if label not in ("star-tree", "chain")),
+        _chain_representatives,
+    ]
+    return [check for checks in _run_parts(parts, seed) for check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -267,73 +292,95 @@ def _projection_targets(rng):
     return targets
 
 
-def suite_projections(seed: int = 0) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    rng_sets = np.random.default_rng(seed + 100)
-    targets = _projection_targets(rng_sets)
+def _idempotence(seed: int, index: int) -> float:
+    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(_PROJECTION_INPUTS):
+        x = sampler(rng, space)
+        px = project(space, cset, x).point
+        worst = max(worst, space.distance(project(space, cset, px).point, px))
+    return worst
 
-    worst_idem = 0.0
-    worst_idem_at = ""
-    for label, space, cset, sampler in targets:
-        rng = np.random.default_rng(seed)
-        for _ in range(_PROJECTION_INPUTS):
-            x = sampler(rng, space)
-            px = project(space, cset, x).point
-            err = space.distance(project(space, cset, px).point, px)
-            if err > worst_idem:
-                worst_idem, worst_idem_at = err, label
-    checks.append(CheckResult("projection-idempotence", worst_idem <= 1e-9,
-                              worst_idem, 1e-9, seed, detail=worst_idem_at))
 
-    worst_lip = 0.0
-    worst_lip_at = ""
-    for label, space, cset, sampler in targets:
-        rng = np.random.default_rng(seed + 1)
-        for _ in range(_PROJECTION_PAIRS):
-            x, y = sampler(rng, space), sampler(rng, space)
-            expansion = (space.distance(project(space, cset, x).point,
-                                        project(space, cset, y).point)
-                         - space.distance(x, y))
-            if expansion > worst_lip:
-                worst_lip, worst_lip_at = expansion, label
-    checks.append(CheckResult("projection-nonexpansive", worst_lip <= 1e-9,
-                              worst_lip, 1e-9, seed + 1, detail=worst_lip_at))
+def _nonexpansion(seed: int, index: int) -> float:
+    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(_PROJECTION_PAIRS):
+        x, y = sampler(rng, space), sampler(rng, space)
+        worst = max(worst, space.distance(project(space, cset, x).point,
+                                          project(space, cset, y).point)
+                    - space.distance(x, y))
+    return worst
 
+
+def _optimality(seed: int, index: int) -> tuple[float, float]:
+    """Worst optimality gap and worst angle defect at the foot, for one target."""
+    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
+    rng = np.random.default_rng(seed + 2)
     worst_opt = 0.0
     worst_angle_defect = 0.0
-    for label, space, cset, sampler in targets:
-        rng = np.random.default_rng(seed + 2)
-        for _ in range(20):
-            x = sampler(rng, space)
-            res = project(space, cset, x)
-            for _ in range(100):
-                c = _in_set_sample(rng, space, cset)
-                worst_opt = max(worst_opt, res.distance - space.distance(x, c))
-                if res.distance > 1e-9:
-                    d_pc = space.distance(res.point, c)
-                    if d_pc > 1e-9:
-                        ang = comparison_angle(res.distance, d_pc, space.distance(x, c))
-                        worst_angle_defect = max(worst_angle_defect, math.pi / 2.0 - ang)
-    checks.append(CheckResult("projection-optimality", worst_opt <= 1e-9,
-                              worst_opt, 1e-9, seed + 2))
-    checks.append(CheckResult("projection-obtuse-angle", worst_angle_defect <= 1e-6,
-                              worst_angle_defect, 1e-6, seed + 2,
-                              detail="max(pi/2 - angle at foot)"))
+    for _ in range(20):
+        x = sampler(rng, space)
+        res = project(space, cset, x)
+        for _ in range(100):
+            c = _in_set_sample(rng, space, cset)
+            worst_opt = max(worst_opt, res.distance - space.distance(x, c))
+            if res.distance > 1e-9:
+                d_pc = space.distance(res.point, c)
+                if d_pc > 1e-9:
+                    ang = comparison_angle(res.distance, d_pc, space.distance(x, c))
+                    worst_angle_defect = max(worst_angle_defect, math.pi / 2.0 - ang)
+    return worst_opt, worst_angle_defect
 
+
+def _exact_vs_generic(seed: int) -> float:
+    # one part: the three segments draw from one generator in turn
     tripod = build_tripod_counterexample(3)
     product = tripod.space
-    worst_agree = 0.0
+    worst = 0.0
     rng = np.random.default_rng(seed + 3)
     for cset in tripod.sets[:3]:
         for _ in range(_PROJECTION_INPUTS // 2):
             x = _product_point(rng, product)
             exact = project_segment_tree_exact(product, cset, x)
             generic = project_segment_generic(product, cset, x)
-            worst_agree = max(worst_agree, product.distance(exact.point, generic.point))
-    checks.append(CheckResult("exact-vs-generic-agreement", worst_agree <= 1e-7,
-                              worst_agree, 1e-7, seed + 3))
+            worst = max(worst, product.distance(exact.point, generic.point))
+    return worst
 
-    return checks
+
+def _labelled_worst(worsts: list[float], labels: list[str]) -> tuple[float, str]:
+    """The largest positive worst and its label; the earliest label wins a tie."""
+    worst, at = 0.0, ""
+    for value, label in zip(worsts, labels):
+        if value > worst:
+            worst, at = value, label
+    return worst, at
+
+
+def suite_projections(seed: int = 0) -> list[CheckResult]:
+    labels = [label for label, *_ in _projection_targets(np.random.default_rng(seed + 100))]
+    n = len(labels)
+    # the longest part first, so no worker is left with it at the end
+    worst_agree, *results = _run_parts([_exact_vs_generic] + [
+        partial(check, index=i)
+        for check in (_idempotence, _nonexpansion, _optimality) for i in range(n)], seed)
+    worst_idem, worst_idem_at = _labelled_worst(results[:n], labels)
+    worst_lip, worst_lip_at = _labelled_worst(results[n:2 * n], labels)
+    worst_opt = max(0.0, *(opt for opt, _ in results[2 * n:]))
+    worst_angle_defect = max(0.0, *(defect for _, defect in results[2 * n:]))
+    return [
+        CheckResult("projection-idempotence", worst_idem <= 1e-9,
+                    worst_idem, 1e-9, seed, detail=worst_idem_at),
+        CheckResult("projection-nonexpansive", worst_lip <= 1e-9,
+                    worst_lip, 1e-9, seed + 1, detail=worst_lip_at),
+        CheckResult("projection-optimality", worst_opt <= 1e-9, worst_opt, 1e-9, seed + 2),
+        CheckResult("projection-obtuse-angle", worst_angle_defect <= 1e-6,
+                    worst_angle_defect, 1e-6, seed + 2, detail="max(pi/2 - angle at foot)"),
+        CheckResult("exact-vs-generic-agreement", worst_agree <= 1e-7,
+                    worst_agree, 1e-7, seed + 3),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +514,19 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # Entry points
+
+def _run_parts(parts: list, seed: int) -> list:
+    """``[part(seed) for part in parts]``, computed in a pool of forked workers."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    workers = min(len(parts), len(os.sched_getaffinity(0)))
+    # a worker dies on an interrupt, so an interrupted caller never waits on the rest
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
+        futures = [pool.submit(part, seed) for part in parts]
+        return [future.result() for future in futures]
+
 
 SUITES = {
     "metric": suite_metric,

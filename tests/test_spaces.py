@@ -270,12 +270,17 @@ class TestTwistedChain:
 
     @staticmethod
     def per_k_distance(chain, p, q):
-        """The lift loop with cos and sin computed afresh for every k."""
+        """The lift loop with cos and sin computed afresh for every k.
+
+        Its window is wider than the library's: the nearest of lifts 0 and
+        +-1 is less than 2r + lam away, and lift k is at least (|k| - 1) lam
+        away vertically.
+        """
         if (p.height, p.u, p.v) > (q.height, q.u, q.v):
             p, q = q, p
         lam = chain.circumference
         dh = p.height - q.height
-        window = 2 + math.ceil((abs(dh) + lam) / lam)
+        window = 3 + math.ceil(2.0 * chain.radius / lam)
         best = math.inf
         for k in range(-window, window + 1):
             ang = k * chain.twist
@@ -306,6 +311,32 @@ class TestTwistedChain:
                 d = space.distance(p, q)
                 assert d == self.per_k_distance(space, p, q)
                 assert d == space.distance(q, p)
+
+    @given(
+        circumference=st.floats(1e-1, 1e1),
+        widths=st.floats(1e-3, 4e2),
+        twist=st.floats(-math.pi, math.pi),
+        coords=st.lists(st.floats(0.0, 0.99), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_distance_is_the_nearest_lift(self, circumference, widths, twist, coords):
+        # wide chains included: the disc's radius may span hundreds of loops
+        radius = widths * circumference
+        chain = TwistedChain(radius=radius, circumference=circumference, twist=twist)
+        p, q = (ChainPoint(radius * math.sqrt(a) * math.cos(2 * math.pi * b),
+                           radius * math.sqrt(a) * math.sin(2 * math.pi * b),
+                           h * circumference)
+                for a, b, h in (coords[:3], coords[3:]))
+        assert chain.distance(p, q) == self.per_k_distance(chain, p, q)
+
+    def test_wide_chain_finds_the_far_lift(self):
+        chain = TwistedChain(radius=10.0, circumference=0.5, twist=0.3)
+        d = chain.distance(ChainPoint(10.0, 0.0, 0.0), ChainPoint(-10.0, 0.0, 0.0))
+        assert d == pytest.approx(5.196, abs=1e-3)
+
+    def test_chain_too_wide_for_its_lift_window(self):
+        with pytest.raises(ValueError, match="too wide"):
+            TwistedChain(radius=500.0, circumference=1.0, twist=1.0)
 
     def test_validation(self, chain):
         with pytest.raises(ValueError):

@@ -1,8 +1,15 @@
-"""The verify samplers draw numpy's uniform stream bit for bit."""
+"""The verify samplers draw numpy's uniform stream bit for bit, and the suites'
+parts give the same bits in a pool of workers as one after another."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -152,3 +159,64 @@ def test_worst_values_equal_the_uniform_draws(monkeypatch):
     monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
     results = verify.suite_metric(3) + verify.suite_projections(3) + verify.chain_certificates()
     assert {r.name: repr(r.worst) for r in results} == UNIFORM_WORST
+
+
+def reduce_samples(monkeypatch):
+    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+
+
+def field_reprs(results):
+    return [[repr(getattr(r, f.name)) for f in dataclasses.fields(r)] for r in results]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("suite", ["metric", "projections"])
+def test_pooled_parts_equal_the_parts_in_order(monkeypatch, suite, cpus):
+    reduce_samples(monkeypatch)
+    run_parts = verify._run_parts
+    monkeypatch.setattr(verify, "_run_parts", lambda parts, seed: [part(seed) for part in parts])
+    in_order = verify.run_suite(suite, 3)
+    monkeypatch.setattr(verify, "_run_parts", run_parts)
+
+    workers = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # four workers on this machine's cores, or one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pooled = verify.run_suite(suite, 3)
+    assert workers == [cpus]
+    assert field_reprs(pooled) == field_reprs(in_order)
+    assert multiprocessing.active_children() == []
+
+
+def test_part_error_reaches_the_caller(monkeypatch):
+    reduce_samples(monkeypatch)
+
+    def failing_sampler(rng, space=None):
+        raise ValueError("no plane point today")
+
+    monkeypatch.setattr(verify, "_plane_point", failing_sampler)
+    with pytest.raises(ValueError) as raised:
+        verify.run_suite("metric", 3)
+    assert raised.type is ValueError
+    assert str(raised.value) == "no plane point today"
+    assert multiprocessing.active_children() == []
+
+
+def interrupt_own_worker(seed):
+    os.kill(os.getpid(), signal.SIGINT)
+
+
+def test_interrupted_worker_ends_at_once():
+    # a worker that caught the interrupt would take the next part, and an
+    # interrupted caller would then wait on, or hang at exit behind, the rest
+    with pytest.raises(BrokenProcessPool):
+        verify._run_parts([interrupt_own_worker], 0)
+    assert multiprocessing.active_children() == []
