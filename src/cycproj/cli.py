@@ -18,14 +18,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import groupby
 
 from . import traceio
 from .engine import iterate, rate_fit, verdict
 from .projections import AmbiguousProjectionError
 from .scenarios import Scenario, build_scenario
-from .verify import run_suite, suite_names
+from .verify import fork_map, run_suite, suite_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -255,11 +254,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for i, value in enumerate(grid)]
 
     workers = min(args.jobs, len(payloads))  # fork starts them all at the first submit
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, payloads))
-    else:
-        outcomes = [_sweep_worker(payload) for payload in payloads]
+    outcomes = (fork_map(workers, _sweep_worker, payloads) if workers > 1
+                else [_sweep_worker(payload) for payload in payloads])
     results = [entry for entry, _ in outcomes]
     codes = {code for _, code in outcomes}
     errors = sum(code != EXIT_OK for _, code in outcomes)

@@ -5,8 +5,8 @@ records which code path produced the point:
 
 * ``closed_form`` -- direct formula (axis, plane segments, cross discs,
   and membership hits).
-* ``exact_piecewise`` -- the certified projector for segments in products
-  of star trees whose coordinates stay on a single leg per factor.
+* ``exact_piecewise`` -- the exact projector for every segment in a
+  product of star trees, center-crossing ones included.
 * ``golden_section`` -- the generic 1-D search along a geodesic segment.
 * ``newton`` -- the bracketed Newton solve on the epigraph boundary, for
   the increment of the foot over the projected point's x.
@@ -61,7 +61,8 @@ class AmbiguousProjectionError(RuntimeError):
 
 
 class UnsupportedShapeError(ValueError):
-    """The exact projector does not cover this segment shape."""
+    """No exact solver covers the input: a space that is not a product of star
+    trees, or a set pair that is not two segments."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +227,34 @@ def _project_segment_plane(plane: Plane, seg: Segment, x: PlanePoint) -> Project
 # Segments in products of star trees (exact)
 
 
-def _leg_path(tree: StarTree, a: StarPoint, b: StarPoint) -> tuple[int, float, float]:
-    """Leg carrying the segment [a, b] plus its affine offset coefficients.
+def _leg_path(a: StarPoint, b: StarPoint) -> tuple[int, int, float, float]:
+    """The path from a to b in one tree as (negative leg, positive leg, s0, ds).
 
-    Returns (leg, o0, do) with offset(t) = o0 + do * t.  A center endpoint
-    lies on every leg, so it never forces a leg of its own; two off-center
-    endpoints on different legs make the offset non-affine (the path crosses
-    the center) and are rejected.
+    The point at t has signed offset s = s0 + ds * t: it lies on the positive
+    leg at offset s where s >= 0, and on the negative leg at offset -s where
+    s < 0.  A path that stays on one leg (a center endpoint lies on every leg)
+    names that leg twice and never goes negative.
     """
     if a.is_center and b.is_center:
-        return 0, 0.0, 0.0
+        return 0, 0, 0.0, 0.0
     if a.is_center:
-        return b.leg, 0.0, b.offset
+        return b.leg, b.leg, 0.0, b.offset
     if b.is_center:
-        return a.leg, a.offset, -a.offset
-    if a.leg != b.leg:
-        raise UnsupportedShapeError(
-            "segment coordinate crosses the tree center "
-            f"(legs {a.leg} and {b.leg}); use the generic projector"
-        )
-    return a.leg, a.offset, b.offset - a.offset
+        return a.leg, a.leg, a.offset, -a.offset
+    if a.leg != b.leg:  # through the center
+        return a.leg, b.leg, -a.offset, a.offset + b.offset
+    return a.leg, a.leg, a.offset, b.offset - a.offset
+
+
+def _segment_pieces(paths: tuple[tuple, tuple]) -> list[tuple[float, float, list]]:
+    """[0, 1] cut where a path crosses its center, as (lo, hi, legs) per piece.
+
+    ``legs`` holds one (leg, sign) per factor: on the piece, the path's point
+    at t is ``sign * s`` out along ``leg``."""
+    cuts = sorted({0.0, 1.0, *(-s0 / ds for neg, pos, s0, ds in paths if neg != pos)})
+    return [(lo, hi, [(pos, 1.0) if neg == pos or 0.5 * (lo + hi) > -s0 / ds else (neg, -1.0)
+                      for neg, pos, s0, ds in paths])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 _SEGMENT_TABLE_CAP = 256
@@ -274,8 +283,8 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple
         raise UnsupportedShapeError("exact segment projector requires a product of star trees")
     space._check(seg.start)
     space._check(seg.end)
-    left = _leg_path(space.left, seg.start.left, seg.end.left)
-    right = _leg_path(space.right, seg.start.right, seg.end.right)
+    left = _leg_path(seg.start.left, seg.end.left)
+    right = _leg_path(seg.start.right, seg.end.right)
     if len(_segment_paths) >= _SEGMENT_TABLE_CAP:
         _segment_paths.clear()
     _segment_paths[(id(space), id(seg))] = (space, seg, left, right)
@@ -283,37 +292,49 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple
 
 
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
-    """Certified projector for leg-confined segments in a product of trees.
+    """Exact projector onto any segment of a product of star trees.
 
-    Per factor the distance from x to the moving point is |l(t) - c| on a
-    shared leg and l(t) + c across legs.  Squaring removes the kinks, so the
-    squared distance is a single quadratic in t; its minimizer clamped to
-    [0, 1] is the exact foot.
+    Per factor, the distance from x's coordinate (leg, offset) to the path's
+    point at signed offset s is |s - offset| when x is on the positive leg,
+    |s + offset| on the negative leg, and |s| + offset on a third leg, with a
+    kink where the path passes the center.  Between kinks every factor is
+    |c + ds * t|, so [0, 1] splits into at most three pieces, each with one
+    quadratic in t; the foot is the best of the pieces' clamped minimizers.
+    When no coordinate changes leg there is one piece and no kink.
     """
-    (leg_l, o0_l, do_l), (leg_r, o0_r, do_r) = _tree_segment_paths(space, seg)
+    paths = _tree_segment_paths(space, seg)
+    (neg_l, pos_l, s0_l, ds_l), (neg_r, pos_r, s0_r, ds_r) = paths
     # x is validated by the one space.distance call that measures the foot;
     # a point of the wrong type fails here first and gets _check's error.
-    # Same leg: (l(t) - offset)^2; through the center: (l(t) + offset)^2.  A
-    # center x has offset 0, where both forms agree.
+    # Same leg: (s(t) - offset)^2; another leg: (s(t) + offset)^2.  A center
+    # x has offset 0, where both forms agree.
     try:
         xl, xr = x.left, x.right
-        c_l = o0_l - xl.offset if xl.leg == leg_l else o0_l + xl.offset
-        c_r = o0_r - xr.offset if xr.leg == leg_r else o0_r + xr.offset
+        c_l = s0_l - xl.offset if xl.leg == pos_l else s0_l + xl.offset
+        c_r = s0_r - xr.offset if xr.leg == pos_r else s0_r + xr.offset
     except AttributeError:
         space._check(x)
         raise
-    qa = do_l * do_l + do_r * do_r  # t^2 coefficient
-    qb = 2.0 * do_l * c_l + 2.0 * do_r * c_r  # t coefficient
+    qa = ds_l * ds_l + ds_r * ds_r  # t^2 coefficient
 
-    if qa == 0.0:
-        t = 0.0  # degenerate segment
-    else:
-        t = min(1.0, max(0.0, -qb / (2.0 * qa)))
+    if neg_l == pos_l and neg_r == pos_r:  # one piece
+        qb = 2.0 * ds_l * c_l + 2.0 * ds_r * c_r  # t coefficient
+        t = 0.0 if qa == 0.0 else min(1.0, max(0.0, -qb / (2.0 * qa)))  # 0: degenerate segment
+        foot = ProductPoint(StarPoint(pos_l, s0_l + ds_l * t), StarPoint(pos_r, s0_r + ds_r * t))
+        return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
-    foot = ProductPoint(
-        StarPoint(leg_l, o0_l + do_l * t),
-        StarPoint(leg_r, o0_r + do_r * t),
-    )
+    best = (math.inf, 0.0)
+    for lo, hi, legs in _segment_pieces(paths):
+        # the path's point is sign * s out along leg: x's factor is |s - sign * offset|
+        # away when x is on that leg, else |s + sign * offset|
+        c_l, c_r = (s0 - sign * p.offset if p.leg == leg else s0 + sign * p.offset
+                    for (_, _, s0, _), (leg, sign), p in zip(paths, legs, (xl, xr)))
+        t = min(hi, max(lo, -(ds_l * c_l + ds_r * c_r) / qa))
+        v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
+        best = min(best, (v_l * v_l + v_r * v_r, t))
+    t = best[1]
+    foot = ProductPoint(*(StarPoint(pos, s) if s >= 0.0 else StarPoint(neg, -s)
+                          for neg, pos, s0, ds in paths for s in (s0 + ds * t,)))
     return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
 
@@ -533,9 +554,9 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
 def project(space, cset: ConvexSet, x) -> ProjectionResult:
     """Project x onto cset within space, by the solver the space and the set select.
 
-    A plane segment takes the closed form, a tree-product segment the exact
-    projector (golden section when a coordinate crosses a tree center), any
-    other segment golden section, and every other set its exact projector.
+    A plane segment takes the closed form, a segment of a product of star
+    trees the exact projector, any other segment golden section, and every
+    other set its exact projector.
     To force a segment solver, call :func:`project_segment_generic` or
     :func:`project_segment_tree_exact` directly.
     """
@@ -545,7 +566,7 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
         if isinstance(space, ProductSpace):
             try:
                 return project_segment_tree_exact(space, cset, x)
-            except UnsupportedShapeError:
+            except UnsupportedShapeError:  # a factor is not a star tree
                 pass
         return project_segment_generic(space, cset, x)
     if isinstance(cset, AxisLine):
@@ -568,28 +589,35 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
 
 
 def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
-    """Exact distance between two leg-confined segments in a product of star trees.
+    """Exact distance between two segments in a product of star trees.
 
-    The squared distance is a single quadratic in the two parameters
-    (squares absorb the |.| kinks factorwise), minimized over the unit
-    square by checking the interior stationary point and the four edges.
-    Every other pair raises :class:`UnsupportedShapeError`, two equal sets
-    included: a set that is not a segment, a space that is not a product of
-    star trees, or a segment whose coordinate crosses a tree center.
+    The segments' pieces split the square of their parameters into at most
+    3 x 3 rectangles.  On each, the squared distance is a single quadratic in
+    the two parameters (squares absorb the |.| kinks factorwise), minimized
+    by checking the interior stationary point and the four edges.  Every
+    other pair raises :class:`UnsupportedShapeError`, two equal sets included.
     """
     if not (isinstance(set_a, Segment) and isinstance(set_b, Segment)):
         raise UnsupportedShapeError(
             f"set_distance covers only pairs of segments, got {type(set_a).__name__} "
             f"and {type(set_b).__name__}"
         )
-    coeffs = []
-    for (leg_a, a0, da), (leg_b, b0, db) in zip(_tree_segment_paths(space, set_a),
-                                                _tree_segment_paths(space, set_b)):
-        same = leg_a == leg_b or (da == 0.0 and a0 == 0.0) or (db == 0.0 and b0 == 0.0)
-        sign = -1.0 if same else 1.0
-        # factor term: (a0 + da*s + sign*(b0 + db*t))^2
-        coeffs.append((a0 + sign * b0, da, sign * db))
+    paths_a, paths_b = _tree_segment_paths(space, set_a), _tree_segment_paths(space, set_b)
+    best = math.inf
+    for s_lo, s_hi, legs_a in _segment_pieces(paths_a):
+        for t_lo, t_hi, legs_b in _segment_pieces(paths_b):
+            coeffs = []
+            for (_, _, a0, da), (leg_a, e_a), (_, _, b0, db), (leg_b, e_b) in zip(
+                    paths_a, legs_a, paths_b, legs_b):
+                sign = -e_b if leg_a == leg_b else e_b
+                # factor term: (e_a*(a0 + da*s) + sign*(b0 + db*t))^2
+                coeffs.append((e_a * a0 + sign * b0, e_a * da, sign * db))
+            best = min(best, _rectangle_minimum(coeffs, s_lo, s_hi, t_lo, t_hi))
+    return math.sqrt(max(0.0, best))
 
+
+def _rectangle_minimum(coeffs: list, s_lo: float, s_hi: float, t_lo: float, t_hi: float) -> float:
+    """Minimum over [s_lo, s_hi] x [t_lo, t_hi] of the sum of (c0 + cs*s + ct*t)^2."""
     def value(s: float, t: float) -> float:
         total = 0.0
         for c0, cs, ct in coeffs:
@@ -604,26 +632,25 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
     D = sum(c0 * cs for c0, cs, _ in coeffs)
     E = sum(c0 * ct for c0, _, ct in coeffs)
 
-    candidates: list[tuple[float, float]] = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    candidates: list[tuple[float, float]] = [(s_lo, t_lo), (s_lo, t_hi), (s_hi, t_lo), (s_hi, t_hi)]
     det = A * B - C * C
     if det > 0.0:
         s = (-D * B + E * C) / det
         t = (-E * A + D * C) / det
-        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+        if s_lo <= s <= s_hi and t_lo <= t <= t_hi:
             candidates.append((s, t))
 
     def edge_minimum(fix_s: float | None, fix_t: float | None) -> tuple[float, float]:
         if fix_s is not None:
             # minimize over t: B t^2 + 2(C*fix_s + E) t + ...
-            t = -(C * fix_s + E) / B if B > 0.0 else 0.0
-            return fix_s, min(1.0, max(0.0, t))
-        s = -(C * fix_t + D) / A if A > 0.0 else 0.0
-        return min(1.0, max(0.0, s)), fix_t
+            t = -(C * fix_s + E) / B if B > 0.0 else t_lo
+            return fix_s, min(t_hi, max(t_lo, t))
+        s = -(C * fix_t + D) / A if A > 0.0 else s_lo
+        return min(s_hi, max(s_lo, s)), fix_t
 
-    for fs in (0.0, 1.0):
+    for fs in (s_lo, s_hi):
         candidates.append(edge_minimum(fs, None))
-    for ft in (0.0, 1.0):
+    for ft in (t_lo, t_hi):
         candidates.append(edge_minimum(None, ft))
 
-    best = min(value(s, t) for s, t in candidates)
-    return math.sqrt(max(0.0, best))
+    return min(value(s, t) for s, t in candidates)

@@ -515,17 +515,25 @@ def suite_counterexamples(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Entry points
 
-def _run_parts(parts: list, seed: int) -> list:
-    """``[part(seed) for part in parts]``, computed in a pool of forked workers."""
+def fork_map(workers: int, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` in ``workers`` forked processes, joined before it ends.
+
+    A worker dies on an interrupt and breaks the pool, so the caller never waits on the rest."""
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    workers = min(len(parts), len(os.sched_getaffinity(0)))
-    # a worker dies on an interrupt, so an interrupted caller never waits on the rest
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
-        futures = [pool.submit(part, seed) for part in parts]
-        return [future.result() for future in futures]
+        return list(pool.map(fn, *iterables))
+
+
+def _call(part, seed: int):
+    return part(seed)
+
+
+def _run_parts(parts: list, seed: int) -> list:
+    """``[part(seed) for part in parts]``, one worker per CPU this process may use."""
+    return fork_map(min(len(parts), len(os.sched_getaffinity(0))), _call, parts, [seed] * len(parts))
 
 
 SUITES = {

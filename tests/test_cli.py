@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -15,6 +21,13 @@ from cycproj.verify import run_suite
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def interrupt_the_first_run(args):
+    """A sweep run that interrupts its own process at theta 0.3 and sleeps at the others."""
+    if args.theta == 0.3:
+        os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(10.0)
 
 
 class TestRun:
@@ -343,7 +356,7 @@ class TestSweep:
         class RecordingPool:
             """Runs the grid in this process and records the worker count asked for."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 requested.append(max_workers)
 
             def __enter__(self):
@@ -355,7 +368,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("cycproj.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = ["sweep", "two-lines", "--param", "theta", "--values", "0.3,0.6,0.9",
                 "--n", "5", "--out", str(tmp_path / "sweep.json")]
         assert run_cli(*base, "--jobs", "8") == 0
@@ -364,6 +377,18 @@ class TestSweep:
             assert run_cli(*base, "--jobs", jobs) == 2
             assert "--jobs must be at least 1" in capsys.readouterr().err
         assert requested == [3]
+
+    def test_interrupted_worker_ends_the_sweep_at_once(self, tmp_path, monkeypatch):
+        # a worker that took the interrupt for a failed run would go on to the
+        # next grid value, and the pool's exit would wait for every run left
+        monkeypatch.setattr("cycproj.cli._run", interrupt_the_first_run)
+        t0 = time.monotonic()
+        with pytest.raises(BaseException) as raised:  # a KeyboardInterrupt too, caught here
+            run_cli("sweep", "two-lines", "--param", "theta", "--values", "0.3,0.6",
+                    "--jobs", "2", "--out", str(tmp_path / "sweep.json"))
+        assert raised.type is BrokenProcessPool
+        assert time.monotonic() - t0 < 5.0
+        assert multiprocessing.active_children() == []
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycproj import projections
 from cycproj import (
@@ -45,6 +47,64 @@ OFF_TREE = [pytest.param(StarPoint(3, 0.2), id="leg-3"),
 def off_tree_variants(point, bad):
     """``point`` with its left, then its right factor replaced by ``bad``."""
     return ProductPoint(bad, point.right), ProductPoint(point.left, bad)
+
+
+# A 4-leg and a 3-leg tree with unequal legs, each a multiple of 1/8 long.
+GRID_SPACE = ProductSpace(StarTree((1.0, 0.75, 0.5, 1.25)), StarTree((1.0, 0.625, 0.875)))
+
+
+def grid_factor_points(tree):
+    """The center and every point of ``tree`` at a multiple of 1/8 out."""
+    return [StarPoint(0, 0.0)] + [StarPoint(leg, k / 8) for leg, length in enumerate(tree.leg_lengths)
+                                  for k in range(1, round(8 * length) + 1)]
+
+
+def crosses(a, b):
+    """Whether the tree geodesic from a to b passes through the center."""
+    return a.leg != b.leg and not (a.is_center or b.is_center)
+
+
+def fraction_path_point(a, b, t):
+    """(leg, offset) at parameter t of the tree geodesic from a to b, in Fractions."""
+    oa, ob = Fraction(a.offset), Fraction(b.offset)
+    if not crosses(a, b):
+        return (a.leg if b.is_center else b.leg), oa + t * (ob - oa)
+    travelled = t * (oa + ob)  # arc length from a
+    return (a.leg, oa - travelled) if travelled <= oa else (b.leg, travelled - oa)
+
+
+def fraction_foot(seg, x):
+    """The foot parameter of x on seg and its squared distance, in exact arithmetic.
+
+    Each factor's squared distance is quadratic in t between the parameters
+    where its coordinate passes the center.  On each piece the quadratic is
+    recovered from its values at both ends and the middle, and its minimizer
+    clamped to the piece; the foot is the best of these.
+    """
+    factors = [(seg.start.left, seg.end.left, x.left), (seg.start.right, seg.end.right, x.right)]
+
+    def sq(t):
+        total = Fraction(0)
+        for a, b, p in factors:
+            leg, off = fraction_path_point(a, b, t)
+            po = Fraction(p.offset)
+            d = abs(off - po) if leg == p.leg or off == 0 else off + po
+            total += d * d
+        return total
+
+    cuts = sorted({Fraction(0), Fraction(1)} | {
+        Fraction(a.offset) / (Fraction(a.offset) + Fraction(b.offset))
+        for a, b, _ in factors if crosses(a, b)})
+    best = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid, h = (lo + hi) / 2, (hi - lo) / 2
+        f_lo, f_mid, f_hi = sq(lo), sq(mid), sq(hi)
+        curve, slope = (f_lo - 2 * f_mid + f_hi) / (2 * h * h), (f_hi - f_lo) / (2 * h)
+        u = min(h, max(-h, -slope / (2 * curve))) if curve > 0 else (-h if slope > 0 else h)
+        candidate = (sq(mid + u), mid + u)
+        best = candidate if best is None or candidate < best else best
+    value, t = best
+    return t, value
 
 
 def epigraph_stationarity(eps, x0, y0, u):
@@ -275,18 +335,25 @@ class TestSegmentTreeExact:
         assert res.distance == 0.0
         assert res.point == x
 
-    def test_unsupported_shape(self, tripod):
+    def test_crossing_segment_is_exact(self, tripod):
         space = tripod.space
-        crossing = Segment(
+        crossing = Segment(  # the left coordinate runs from leg 0 through the center to leg 1
             ProductPoint(StarPoint(0, 0.5), StarPoint(0, 0.5)),
             ProductPoint(StarPoint(1, 0.5), StarPoint(0, 0.2)),
         )
         x = ProductPoint(StarPoint(2, 0.3), StarPoint(1, 0.3))
-        with pytest.raises(UnsupportedShapeError):
-            project_segment_tree_exact(space, crossing, x)
-        # the dispatcher falls back to the generic solver
-        res = project(space, crossing, x)
-        assert res.solver == "golden_section"
+        # (|t - 1/2| + 0.3)^2 + (0.8 - 0.3 t)^2 falls before t = 1/2 and rises after:
+        # the foot is the kink, with the left coordinate at the center
+        res = project_segment_tree_exact(space, crossing, x)
+        assert res.solver == "exact_piecewise"
+        assert res.point.left == StarPoint(0, 0.0)
+        assert res.point.right.leg == 0
+        assert res.point.right.offset == pytest.approx(0.35, abs=1e-15)
+        assert res.distance == pytest.approx(math.sqrt(0.3**2 + 0.65**2), abs=1e-15)
+        assert project(space, crossing, x) == res
+        generic = project_segment_generic(space, crossing, x)
+        assert res.distance <= generic.distance + 1e-15
+        assert space.distance(res.point, generic.point) <= 1e-7
 
     def test_center_endpoint_supported(self, tripod):
         space = tripod.space
@@ -390,6 +457,94 @@ class TestSegmentTreeExact:
         assert worst <= 1e-7
 
 
+leg_lengths = st.lists(st.floats(0.25, 1.0), min_size=3, max_size=5)
+
+
+@st.composite
+def crossing_cases(draw):
+    """A product of two 3-5 leg trees, a segment whose left coordinate crosses
+    the center, and a point.  The segment's ends lie at least a twentieth of
+    their leg from the center, so that no kink of the squared distance comes
+    within golden section's polish step of an end."""
+    space = ProductSpace(StarTree(tuple(draw(leg_lengths))), StarTree(tuple(draw(leg_lengths))))
+
+    def factor_point(tree, leg=None, floor=0.0):
+        if leg is None:
+            leg = draw(st.integers(0, tree.leg_count - 1))
+        return StarPoint(leg, draw(st.floats(floor, 1.0)) * tree.leg_lengths[leg])
+
+    k = space.left.leg_count
+    a_leg = draw(st.integers(0, k - 1))
+    b_leg = (a_leg + draw(st.integers(1, k - 1))) % k
+    seg = Segment(ProductPoint(factor_point(space.left, a_leg, 0.05),
+                               factor_point(space.right, floor=0.05)),
+                  ProductPoint(factor_point(space.left, b_leg, 0.05),
+                               factor_point(space.right, floor=0.05)))
+    return space, seg, ProductPoint(factor_point(space.left), factor_point(space.right))
+
+
+class TestCrossingSegments:
+    """Segments of a product of star trees whose coordinates pass a tree center."""
+
+    def test_foot_equals_the_rational_foot(self):
+        rng = np.random.default_rng(37)
+        left, right = grid_factor_points(GRID_SPACE.left), grid_factor_points(GRID_SPACE.right)
+
+        def grid_point():
+            return ProductPoint(left[rng.integers(len(left))], right[rng.integers(len(right))])
+
+        kinds = {True: 0, False: 0}
+        for _ in range(400):
+            seg, x = Segment(grid_point(), grid_point()), grid_point()
+            t, value = fraction_foot(seg, x)
+            res = project_segment_tree_exact(GRID_SPACE, seg, x)
+            assert res.solver == "exact_piecewise"
+            for tree, a, b, got in ((GRID_SPACE.left, seg.start.left, seg.end.left, res.point.left),
+                                    (GRID_SPACE.right, seg.start.right, seg.end.right,
+                                     res.point.right)):
+                leg, off = fraction_path_point(a, b, t)
+                assert tree.distance(got, StarPoint(leg if off else 0, float(off))) <= 1e-15
+            assert abs(res.distance - math.sqrt(value)) <= 1e-15
+            kinds[crosses(seg.start.left, seg.end.left) or crosses(seg.start.right, seg.end.right)] += 1
+        assert min(kinds.values()) >= 50  # crossing and leg-confined segments both
+
+    @given(crossing_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_never_farther_than_golden_section(self, case):
+        space, seg, x = case
+        exact = project_segment_tree_exact(space, seg, x)
+        generic = project_segment_generic(space, seg, x)
+        assert exact.distance <= generic.distance + 1e-15
+        assert space.distance(exact.point, generic.point) <= 1e-7
+
+    def test_set_distance_against_sampled_minima(self):
+        rng = np.random.default_rng(43)
+        ts = np.linspace(0.0, 1.0, 41).tolist()
+
+        def factor_point(tree, leg):
+            return StarPoint(leg, float(rng.uniform(0.0, tree.leg_lengths[leg])))
+
+        def crossing_segment(space):
+            # both coordinates change leg, unless a drawn end is the center
+            ends = [[factor_point(tree, leg) if rng.uniform() > 0.15 else StarPoint(0, 0.0)
+                     for leg in rng.choice(tree.leg_count, 2, replace=False).tolist()]
+                    for tree in (space.left, space.right)]
+            return Segment(ProductPoint(ends[0][0], ends[1][0]), ProductPoint(ends[0][1], ends[1][1]))
+
+        for _ in range(60):
+            space = ProductSpace(StarTree(tuple(rng.uniform(0.25, 1.5, 4).tolist())),
+                                 StarTree(tuple(rng.uniform(0.25, 1.5, 3).tolist())))
+            set_a, set_b = crossing_segment(space), crossing_segment(space)
+            exact = set_distance(space, set_a, set_b)
+            points_a = [space.geodesic(set_a.start, set_a.end, t) for t in ts]
+            points_b = [space.geodesic(set_b.start, set_b.end, t) for t in ts]
+            assert exact <= min(space.distance(p, q) for p in points_a for q in points_b) + 1e-15
+            # the minimizing s is within half a grid step of a grid point
+            by_s = min(project_segment_tree_exact(space, set_b, p).distance for p in points_a)
+            reach = space.distance(set_a.start, set_a.end) / (len(ts) - 1) / 2
+            assert exact >= by_s - reach - 1e-15
+
+
 class TestCrossDisc:
     @pytest.fixture
     def chain(self):
@@ -471,8 +626,8 @@ class TestDispatcher:
             ProductPoint(StarPoint(1, 0.5), StarPoint(0, 0.2)),
         )
         res = project(space, crossing, x)
-        assert res.solver == "golden_section"
-        assert res == project_segment_generic(space, crossing, x)
+        assert res.solver == "exact_piecewise"
+        assert res == project_segment_tree_exact(space, crossing, x)
         tree = StarTree.unit(3)  # a segment outside the plane and tree products
         leg_seg = Segment(StarPoint(0, 0.2), StarPoint(0, 0.9))
         assert project(tree, leg_seg, StarPoint(1, 0.4)).solver == "golden_section"
@@ -516,17 +671,21 @@ class TestSetDistance:
     @pytest.mark.parametrize("space, set_a, set_b", [
         pytest.param(PLANE, AxisLine(), Epigraph(1.0), id="axis-epigraph"),
         pytest.param(PLANE, AxisLine(), AxisLine(), id="equal-axes"),
-        pytest.param(
-            ProductSpace(StarTree.unit(3), StarTree.unit(3)),
-            Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.2)),
-                    ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.2))),
-            Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.8)),
-                    ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.8))),
-            id="segments-through-center"),
     ])
     def test_unsupported_pairs_raise(self, space, set_a, set_b):
         with pytest.raises(UnsupportedShapeError):
             set_distance(space, set_a, set_b)
+
+    def test_segments_through_center(self):
+        # the left coordinates share one path through the center; the right
+        # ones stay 0.6 apart on leg 2
+        space = ProductSpace(StarTree.unit(3), StarTree.unit(3))
+        set_a = Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.2)),
+                        ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.2)))
+        set_b = Segment(ProductPoint(StarPoint(0, 0.5), StarPoint(2, 0.8)),
+                        ProductPoint(StarPoint(1, 0.5), StarPoint(2, 0.8)))
+        assert set_distance(space, set_a, set_b) == pytest.approx(0.6, abs=1e-15)
+        assert set_distance(space, set_b, set_a) == pytest.approx(0.6, abs=1e-15)
 
 
 class TestProjectionProperties:
