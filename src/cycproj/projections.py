@@ -247,10 +247,9 @@ def _leg_path(a: StarPoint, b: StarPoint) -> tuple[int, int, float, float]:
 
 
 def _segment_pieces(paths: tuple[tuple, tuple]) -> list[tuple[float, float, list]]:
-    """[0, 1] cut where a path crosses its center, as (lo, hi, legs) per piece.
-
-    ``legs`` holds one (leg, sign) per factor: on the piece, the path's point
-    at t is ``sign * s`` out along ``leg``."""
+    """[0, 1] cut where a path crosses its center, as (lo, hi, legs) per piece, where
+    ``legs`` holds one (leg, sign) per factor: on the piece, the path's point at t is
+    ``sign * s`` out along ``leg``."""
     cuts = sorted({0.0, 1.0, *(-s0 / ds for neg, pos, s0, ds in paths if neg != pos)})
     return [(lo, hi, [(pos, 1.0) if neg == pos or 0.5 * (lo + hi) > -s0 / ds else (neg, -1.0)
                       for neg, pos, s0, ds in paths])
@@ -329,12 +328,16 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
         # away when x is on that leg, else |s + sign * offset|
         c_l, c_r = (s0 - sign * p.offset if p.leg == leg else s0 + sign * p.offset
                     for (_, _, s0, _), (leg, sign), p in zip(paths, legs, (xl, xr)))
-        t = min(hi, max(lo, -(ds_l * c_l + ds_r * c_r) / qa))
+        # qa underflows to 0.0 when every |ds| is below about 1e-162
+        t = min(hi, max(lo, -(ds_l * c_l + ds_r * c_r) / qa)) if qa else lo
         v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
         best = min(best, (v_l * v_l + v_r * v_r, t))
     t = best[1]
-    foot = ProductPoint(*(StarPoint(pos, s) if s >= 0.0 else StarPoint(neg, -s)
-                          for neg, pos, s0, ds in paths for s in (s0 + ds * t,)))
+    lengths = space.left.leg_lengths, space.right.leg_lengths
+    # rounding can carry s0 + ds * t past a leg's end where the segment ends there
+    foot = ProductPoint(*(StarPoint(pos, min(s, ls[pos])) if s >= 0.0
+                          else StarPoint(neg, min(-s, ls[neg]))
+                          for ls, (neg, pos, s0, ds) in zip(lengths, paths) for s in (s0 + ds * t,)))
     return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
 

@@ -508,6 +508,25 @@ class TestCrossingSegments:
             kinds[crosses(seg.start.left, seg.end.left) or crosses(seg.start.right, seg.end.right)] += 1
         assert min(kinds.values()) >= 50  # crossing and leg-confined segments both
 
+    def test_segment_too_short_to_square(self):
+        # ds * ds underflows to 0.0, so no piece has a finite vertex
+        space = ProductSpace(StarTree.unit(3), StarTree.unit(3))
+        seg = Segment(ProductPoint(StarPoint(0, 1e-170), StarPoint(1, 0.5)),
+                      ProductPoint(StarPoint(1, 1e-170), StarPoint(1, 0.5)))
+        x = ProductPoint(StarPoint(2, 0.3), StarPoint(0, 0.2))
+        res = project_segment_tree_exact(space, seg, x)
+        assert res.distance == pytest.approx(math.hypot(0.3, 0.7), abs=1e-15)
+        assert set_distance(space, seg, Segment(x, x)) == pytest.approx(res.distance, abs=1e-15)
+
+    def test_segment_ending_at_a_leg_end(self):
+        # -0.1 + (0.1 + 0.3) rounds past the short leg's end, 0.3
+        space = ProductSpace(StarTree((1.0, 0.3, 1.0)), StarTree.unit(3))
+        seg = Segment(ProductPoint(StarPoint(0, 0.1), StarPoint(0, 0.5)),
+                      ProductPoint(StarPoint(1, 0.3), StarPoint(0, 0.5)))
+        res = project_segment_tree_exact(space, seg, seg.end)
+        assert res.point == seg.end
+        assert res.distance == 0.0
+
     @given(crossing_cases())
     @settings(max_examples=200, deadline=None)
     def test_never_farther_than_golden_section(self, case):
