@@ -324,8 +324,7 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
 
     best = (math.inf, 0.0)
     for lo, hi, legs in _segment_pieces(paths):
-        # the path's point is sign * s out along leg: x's factor is |s - sign * offset|
-        # away when x is on that leg, else |s + sign * offset|
+        # x's factor is |s - sign * offset| away on the piece's leg, |s + sign * offset| off it
         c_l, c_r = (s0 - sign * p.offset if p.leg == leg else s0 + sign * p.offset
                     for (_, _, s0, _), (leg, sign), p in zip(paths, legs, (xl, xr)))
         # qa underflows to 0.0 when every |ds| is below about 1e-162
@@ -335,9 +334,9 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
     t = best[1]
     lengths = space.left.leg_lengths, space.right.leg_lengths
     # rounding can carry s0 + ds * t past a leg's end where the segment ends there
-    foot = ProductPoint(*(StarPoint(pos, min(s, ls[pos])) if s >= 0.0
-                          else StarPoint(neg, min(-s, ls[neg]))
-                          for ls, (neg, pos, s0, ds) in zip(lengths, paths) for s in (s0 + ds * t,)))
+    foot = ProductPoint(*(StarPoint(pos, min(s, ls[pos])) if s >= 0.0 else StarPoint(neg, -s)
+                          for ls, (neg, pos, s0, ds) in zip(lengths, paths)
+                          for s in (s0 + ds * t,)))
     return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
 

@@ -533,7 +533,8 @@ def _call(part, seed: int):
 
 def _run_parts(parts: list, seed: int) -> list:
     """``[part(seed) for part in parts]``, one worker per CPU this process may use."""
-    return fork_map(min(len(parts), len(os.sched_getaffinity(0))), _call, parts, [seed] * len(parts))
+    workers = min(len(parts), len(os.sched_getaffinity(0)))
+    return fork_map(workers, _call, parts, [seed] * len(parts))
 
 
 SUITES = {

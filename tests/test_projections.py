@@ -55,7 +55,8 @@ GRID_SPACE = ProductSpace(StarTree((1.0, 0.75, 0.5, 1.25)), StarTree((1.0, 0.625
 
 def grid_factor_points(tree):
     """The center and every point of ``tree`` at a multiple of 1/8 out."""
-    return [StarPoint(0, 0.0)] + [StarPoint(leg, k / 8) for leg, length in enumerate(tree.leg_lengths)
+    return [StarPoint(0, 0.0)] + [StarPoint(leg, k / 8)
+                                  for leg, length in enumerate(tree.leg_lengths)
                                   for k in range(1, round(8 * length) + 1)]
 
 
@@ -505,7 +506,8 @@ class TestCrossingSegments:
                 leg, off = fraction_path_point(a, b, t)
                 assert tree.distance(got, StarPoint(leg if off else 0, float(off))) <= 1e-15
             assert abs(res.distance - math.sqrt(value)) <= 1e-15
-            kinds[crosses(seg.start.left, seg.end.left) or crosses(seg.start.right, seg.end.right)] += 1
+            kinds[crosses(seg.start.left, seg.end.left)
+                  or crosses(seg.start.right, seg.end.right)] += 1
         assert min(kinds.values()) >= 50  # crossing and leg-confined segments both
 
     def test_segment_too_short_to_square(self):
@@ -548,7 +550,8 @@ class TestCrossingSegments:
             ends = [[factor_point(tree, leg) if rng.uniform() > 0.15 else StarPoint(0, 0.0)
                      for leg in rng.choice(tree.leg_count, 2, replace=False).tolist()]
                     for tree in (space.left, space.right)]
-            return Segment(ProductPoint(ends[0][0], ends[1][0]), ProductPoint(ends[0][1], ends[1][1]))
+            return Segment(ProductPoint(ends[0][0], ends[1][0]),
+                           ProductPoint(ends[0][1], ends[1][1]))
 
         for _ in range(60):
             space = ProductSpace(StarTree(tuple(rng.uniform(0.25, 1.5, 4).tolist())),
