@@ -257,7 +257,7 @@ def _segment_pieces(paths: tuple[tuple, tuple]) -> list[tuple[float, float, list
 
 
 _SEGMENT_TABLE_CAP = 256
-# (id(space), id(seg)) -> (space, seg, left leg path, right leg path).  An
+# (id(space), id(seg)) -> (space, seg, (left leg path, right leg path)).  An
 # entry holds its space and segment, so neither id can be reused while it
 # stands; it is still used only when both match by identity.
 _segment_paths: dict[tuple[int, int], tuple] = {}
@@ -275,19 +275,18 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple
     """
     entry = _segment_paths.get((id(space), id(seg)))
     if entry is not None and entry[0] is space and entry[1] is seg:
-        return entry[2], entry[3]
+        return entry[2]
     if not (isinstance(space, ProductSpace)
             and isinstance(space.left, StarTree)
             and isinstance(space.right, StarTree)):
         raise UnsupportedShapeError("exact segment projector requires a product of star trees")
     space._check(seg.start)
     space._check(seg.end)
-    left = _leg_path(seg.start.left, seg.end.left)
-    right = _leg_path(seg.start.right, seg.end.right)
+    paths = _leg_path(seg.start.left, seg.end.left), _leg_path(seg.start.right, seg.end.right)
     if len(_segment_paths) >= _SEGMENT_TABLE_CAP:
         _segment_paths.clear()
-    _segment_paths[(id(space), id(seg))] = (space, seg, left, right)
-    return left, right
+    _segment_paths[(id(space), id(seg))] = (space, seg, paths)
+    return paths
 
 
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
