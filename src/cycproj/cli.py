@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 on success, 2 on usage errors (unknown
 scenario or suite, bad parameters, a start with two nearest lifts of a
 disc), 3 on numerical failure (the trace file is still written, truncated
 and flagged).  A sweep exits 2 when any of its runs is a usage error, else
-3 when any failed.  The run options may also be supplied as ``key=value``
+3 when any failed.  A worker process of ``sweep --jobs N`` or ``verify`` that
+dies (a signal, an out-of-memory kill) ends the command with one ``error:``
+line and exit 3.  The run options may also be supplied as ``key=value``
 lines in a ``--config`` file.  Each line is read as the flag it names, placed
 before the command line's flags: argparse converts and checks it as it does
 the flag, and an explicit flag wins.  The only environment variable consulted
@@ -293,6 +295,12 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # imported here, as the pool is: start-up needs neither
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry() -> None:

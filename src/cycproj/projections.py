@@ -111,7 +111,7 @@ class CrossDisc:
     disc_index: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.disc_index <= 2):
+        if not (isinstance(self.disc_index, int) and 0 <= self.disc_index <= 2):
             raise ValueError(f"disc_index must be 0, 1 or 2, got {self.disc_index!r}")
 
 
@@ -235,43 +235,38 @@ def _leg_path(a: StarPoint, b: StarPoint) -> tuple[int, int, float, float]:
     s < 0.  A path that stays on one leg (a center endpoint lies on every leg)
     names that leg twice and never goes negative.
     """
-    if a.is_center and b.is_center:
-        return 0, 0, 0.0, 0.0
-    if a.is_center:
-        return b.leg, b.leg, 0.0, b.offset
-    if b.is_center:
-        return a.leg, a.leg, a.offset, -a.offset
-    if a.leg != b.leg:  # through the center
+    if a.leg != b.leg and not (a.is_center or b.is_center):  # through the center
         return a.leg, b.leg, -a.offset, a.offset + b.offset
-    return a.leg, a.leg, a.offset, b.offset - a.offset
+    leg = b.leg if a.is_center else a.leg  # the center sits at offset 0.0 on leg 0
+    return leg, leg, a.offset, b.offset - a.offset
 
 
-def _segment_pieces(paths: tuple[tuple, tuple]) -> list[tuple[float, float, list]]:
-    """[0, 1] cut where a path crosses its center, as (lo, hi, legs) per piece, where
-    ``legs`` holds one (leg, sign) per factor: on the piece, the path's point at t is
-    ``sign * s`` out along ``leg``."""
+def _segment_pieces(paths: tuple[tuple, tuple]) -> tuple[tuple, ...]:
+    """[0, 1] cut where a path crosses its center, as (lo, hi, (leg, sign) per factor)
+    per piece: on the piece, the factor's path point at t is ``sign * s`` out along
+    ``leg``."""
     cuts = sorted({0.0, 1.0, *(-s0 / ds for neg, pos, s0, ds in paths if neg != pos)})
-    return [(lo, hi, [(pos, 1.0) if neg == pos or 0.5 * (lo + hi) > -s0 / ds else (neg, -1.0)
-                      for neg, pos, s0, ds in paths])
-            for lo, hi in zip(cuts, cuts[1:])]
+    return tuple((lo, hi, *[(pos, 1.0) if neg == pos or 0.5 * (lo + hi) > -s0 / ds else (neg, -1.0)
+                            for neg, pos, s0, ds in paths])
+                 for lo, hi in zip(cuts, cuts[1:]))
 
 
 _SEGMENT_TABLE_CAP = 256
-# (id(space), id(seg)) -> (space, seg, (left leg path, right leg path)).  An
-# entry holds its space and segment, so neither id can be reused while it
-# stands; it is still used only when both match by identity.
+# (id(space), id(seg)) -> (space, seg, (paths, pieces, qa, lengths)).  An entry
+# holds its space and segment, so neither id can be reused while it stands; it is
+# still used only when both match by identity.
 _segment_paths: dict[tuple[int, int], tuple] = {}
 
 
-def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple]:
-    """Both factors' leg paths of ``seg``, validated once per (space, seg) pair.
+def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple:
+    """Both factors' leg paths of ``seg``, their pieces, the t^2 coefficient sum(ds^2)
+    and each factor's positive-leg length, worked out once per (space, seg) pair.
 
     The projector is called with the same few segments every cycle, so the
-    space's shape, the segment's endpoints and their leg paths are worked out
-    on the first call and looked up by identity afterwards.  The table is
-    cleared when it reaches ``_SEGMENT_TABLE_CAP`` entries.  An entry depends
-    only on its immutable space and segment, so callers racing on the table
-    at worst work one out twice.
+    space's shape and the segment's endpoints are validated on the first call,
+    and the entry is looked up by identity afterwards.  The table is cleared at
+    ``_SEGMENT_TABLE_CAP`` entries.  An entry depends only on its immutable space
+    and segment, so callers racing on the table at worst work one out twice.
     """
     entry = _segment_paths.get((id(space), id(seg)))
     if entry is not None and entry[0] is space and entry[1] is seg:
@@ -283,10 +278,13 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple[tuple, tuple
     space._check(seg.start)
     space._check(seg.end)
     paths = _leg_path(seg.start.left, seg.end.left), _leg_path(seg.start.right, seg.end.right)
+    (_, pos_l, _, ds_l), (_, pos_r, _, ds_r) = paths
+    found = (paths, _segment_pieces(paths), ds_l * ds_l + ds_r * ds_r,
+             (space.left.leg_lengths[pos_l], space.right.leg_lengths[pos_r]))
     if len(_segment_paths) >= _SEGMENT_TABLE_CAP:
         _segment_paths.clear()
-    _segment_paths[(id(space), id(seg))] = (space, seg, paths)
-    return paths
+    _segment_paths[(id(space), id(seg))] = (space, seg, found)
+    return found
 
 
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
@@ -298,44 +296,36 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
     kink where the path passes the center.  Between kinks every factor is
     |c + ds * t|, so [0, 1] splits into at most three pieces, each with one
     quadratic in t; the foot is the best of the pieces' clamped minimizers.
-    When no coordinate changes leg there is one piece and no kink.
     """
-    paths = _tree_segment_paths(space, seg)
-    (neg_l, pos_l, s0_l, ds_l), (neg_r, pos_r, s0_r, ds_r) = paths
+    (((neg_l, pos_l, s0_l, ds_l), (neg_r, pos_r, s0_r, ds_r)), pieces, qa,
+     (len_l, len_r)) = _tree_segment_paths(space, seg)
     # x is validated by the one space.distance call that measures the foot;
     # a point of the wrong type fails here first and gets _check's error.
-    # Same leg: (s(t) - offset)^2; another leg: (s(t) + offset)^2.  A center
-    # x has offset 0, where both forms agree.
     try:
-        xl, xr = x.left, x.right
-        c_l = s0_l - xl.offset if xl.leg == pos_l else s0_l + xl.offset
-        c_r = s0_r - xr.offset if xr.leg == pos_r else s0_r + xr.offset
+        leg_xl, off_l, leg_xr, off_r = x.left.leg, x.left.offset, x.right.leg, x.right.offset
     except AttributeError:
         space._check(x)
         raise
-    qa = ds_l * ds_l + ds_r * ds_r  # t^2 coefficient
-
-    if neg_l == pos_l and neg_r == pos_r:  # one piece
-        qb = 2.0 * ds_l * c_l + 2.0 * ds_r * c_r  # t coefficient
-        t = 0.0 if qa == 0.0 else min(1.0, max(0.0, -qb / (2.0 * qa)))  # 0: degenerate segment
-        foot = ProductPoint(StarPoint(pos_l, s0_l + ds_l * t), StarPoint(pos_r, s0_r + ds_r * t))
-        return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
-
-    best = (math.inf, 0.0)
-    for lo, hi, legs in _segment_pieces(paths):
-        # x's factor is |s - sign * offset| away on the piece's leg, |s + sign * offset| off it
-        c_l, c_r = (s0 - sign * p.offset if p.leg == leg else s0 + sign * p.offset
-                    for (_, _, s0, _), (leg, sign), p in zip(paths, legs, (xl, xr)))
+    best_v, t = math.inf, 0.0
+    for lo, hi, (leg_l, sign_l), (leg_r, sign_r) in pieces:
+        # x's factor is |s - sign * offset| away on the piece's leg, |s + sign * offset|
+        # off it; a center x has offset 0, where both forms agree
+        c_l = s0_l - sign_l * off_l if leg_xl == leg_l else s0_l + sign_l * off_l
+        c_r = s0_r - sign_r * off_r if leg_xr == leg_r else s0_r + sign_r * off_r
         # qa underflows to 0.0 when every |ds| is below about 1e-162
-        t = min(hi, max(lo, -(ds_l * c_l + ds_r * c_r) / qa)) if qa else lo
-        v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
-        best = min(best, (v_l * v_l + v_r * v_r, t))
-    t = best[1]
-    lengths = space.left.leg_lengths, space.right.leg_lengths
+        t_piece = -(ds_l * c_l + ds_r * c_r) / qa if qa else lo
+        # min(hi, max(lo, t_piece)) without the calls, as lo < hi
+        t_piece = (t_piece if t_piece < hi else hi) if t_piece > lo else lo
+        v_l, v_r = c_l + ds_l * t_piece, c_r + ds_r * t_piece
+        v = v_l * v_l + v_r * v_r
+        if v < best_v:
+            best_v, t = v, t_piece
     # rounding can carry s0 + ds * t past a leg's end where the segment ends there
-    foot = ProductPoint(*(StarPoint(pos, min(s, ls[pos])) if s >= 0.0 else StarPoint(neg, -s)
-                          for ls, (neg, pos, s0, ds) in zip(lengths, paths)
-                          for s in (s0 + ds * t,)))
+    s_l, s_r = s0_l + ds_l * t, s0_r + ds_r * t
+    foot = ProductPoint(StarPoint(pos_l, s_l if s_l <= len_l else len_l) if s_l >= 0.0
+                        else StarPoint(neg_l, -s_l),
+                        StarPoint(pos_r, s_r if s_r <= len_r else len_r) if s_r >= 0.0
+                        else StarPoint(neg_r, -s_r))
     return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
 
@@ -531,8 +521,8 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
     transport is a rigid motion of discs, so this vertical drop is the exact
     closest point.
     """
-    if not (0 <= disc_index < len(chain.disc_heights)):
-        raise ValueError(f"disc_index {disc_index!r} out of range")
+    if not (isinstance(disc_index, int) and 0 <= disc_index <= 2):  # a chain has three discs
+        raise ValueError(f"disc_index must be 0, 1 or 2, got {disc_index!r}")
     chain._check(x)
     lam = chain.circumference
     delta = x.height - chain.disc_heights[disc_index]
@@ -603,10 +593,11 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
             f"set_distance covers only pairs of segments, got {type(set_a).__name__} "
             f"and {type(set_b).__name__}"
         )
-    paths_a, paths_b = _tree_segment_paths(space, set_a), _tree_segment_paths(space, set_b)
+    paths_a, pieces_a, _, _ = _tree_segment_paths(space, set_a)
+    paths_b, pieces_b, _, _ = _tree_segment_paths(space, set_b)
     best = math.inf
-    for s_lo, s_hi, legs_a in _segment_pieces(paths_a):
-        for t_lo, t_hi, legs_b in _segment_pieces(paths_b):
+    for s_lo, s_hi, *legs_a in pieces_a:
+        for t_lo, t_hi, *legs_b in pieces_b:
             coeffs = []
             for (_, _, a0, da), (leg_a, e_a), (_, _, b0, db), (leg_b, e_b) in zip(
                     paths_a, legs_a, paths_b, legs_b):

@@ -15,7 +15,10 @@ def test_table_has_a_row_per_scenario(capsys):
     assert percycle.main(2, 5) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# min of 2 runs of 5-cycle iterate")
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
-    assert list(rows) == list(percycle.SCENARIOS)
-    for low, high in rows.values():
+    split = lines.index(f"# min of 2 runs of {percycle.CALLS} projector calls")
+    cycles = {line.split()[0]: line.split()[1:] for line in lines[2:split]}
+    calls = {line.split()[0]: line.split()[1:] for line in lines[split + 2:]}
+    assert list(cycles) == list(percycle.SCENARIOS)
+    assert list(calls) == ["exact_piecewise", "golden_section", "closed_form", "newton"]
+    for low, high in [*cycles.values(), *calls.values()]:
         assert 0.0 < float(low) <= float(high)

@@ -520,11 +520,16 @@ class TestCrossingSegments:
         assert res.distance == pytest.approx(math.hypot(0.3, 0.7), abs=1e-15)
         assert set_distance(space, seg, Segment(x, x)) == pytest.approx(res.distance, abs=1e-15)
 
-    def test_segment_ending_at_a_leg_end(self):
+    @pytest.mark.parametrize("short_leg, start", [
         # -0.1 + (0.1 + 0.3) rounds past the short leg's end, 0.3
-        space = ProductSpace(StarTree((1.0, 0.3, 1.0)), StarTree.unit(3))
-        seg = Segment(ProductPoint(StarPoint(0, 0.1), StarPoint(0, 0.5)),
-                      ProductPoint(StarPoint(1, 0.3), StarPoint(0, 0.5)))
+        (0.3, StarPoint(0, 0.1)),
+        # 0.3 + (0.9 - 0.3) rounds past it on a segment that changes no leg
+        (0.9, StarPoint(1, 0.3)),
+    ], ids=["crossing", "leg-confined"])
+    def test_segment_ending_at_a_leg_end(self, short_leg, start):
+        space = ProductSpace(StarTree((1.0, short_leg, 1.0)), StarTree.unit(3))
+        seg = Segment(ProductPoint(start, StarPoint(0, 0.5)),
+                      ProductPoint(StarPoint(1, short_leg), StarPoint(0, 0.5)))
         res = project_segment_tree_exact(space, seg, seg.end)
         assert res.point == seg.end
         assert res.distance == 0.0
@@ -620,6 +625,14 @@ class TestCrossDisc:
         x = ChainPoint(0.05, 0.0, 2.5)  # exactly half a loop from disc 1
         with pytest.raises(AmbiguousProjectionError):
             project_cross_disc(chain, 1, x)
+
+    @pytest.mark.parametrize("index", [1.5, 3, -1])
+    def test_bad_disc_index_rejected(self, chain, index):
+        message = re.escape(f"disc_index must be 0, 1 or 2, got {index!r}")
+        with pytest.raises(ValueError, match=message):
+            CrossDisc(index)
+        with pytest.raises(ValueError, match=message):
+            project_cross_disc(chain, index, ChainPoint(0.05, 0.0, 1.0))
 
     def test_projected_distance_is_metric_distance(self, chain):
         x = ChainPoint(0.02, 0.07, 2.6)

@@ -1,12 +1,18 @@
-"""Print the cost of one cycle per scenario: README's per-cycle table.
+"""Print the cost of one cycle per scenario and of one projector call per
+solver tag: README's per-cycle table, and the per-call layer below it.
 
     python3 tools/percycle.py
 
 Each of tripod, twisted-chain and plane-two-sets, with its default
 parameters, runs ``iterate`` for 2 000 cycles from its default start 15
-times.  The table gives the fastest run's time per cycle, in µs, and the
-slowest for a sense of the spread.  The library is imported from this
-checkout's ``src/``.
+times.  The first table gives the fastest run's time per cycle, in µs, and
+the slowest for a sense of the spread.  The second times 200 calls of one
+fixed projection per solver tag, 15 times, in µs per call:
+``exact_piecewise`` (``project``) and ``golden_section``
+(``project_segment_generic``) from the tripod's start onto its first
+segment, ``closed_form`` from the chain's start onto its second disc, and
+``newton`` from (1, 0) onto the plane's epigraph.  The library is imported
+from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cycproj import build_scenario, iterate  # noqa: E402
+from cycproj import PlanePoint, build_scenario, iterate, project, project_segment_generic  # noqa: E402
 
 SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets")
 RUNS = 15
 CYCLES = 2000
+CALLS = 200
 
 
 def per_cycle_us(name: str, runs: int, cycles: int) -> list[float]:
@@ -40,6 +47,30 @@ def per_cycle_us(name: str, runs: int, cycles: int) -> list[float]:
     return times
 
 
+def projector_calls() -> list[tuple]:
+    """(solver tag, projector, its arguments): one fixed projection per tag."""
+    tripod, chain, plane = (build_scenario(name) for name in SCENARIOS)
+    on_tripod = (tripod.space, tripod.sets[0], tripod.start())
+    return [("exact_piecewise", project, on_tripod),
+            ("golden_section", project_segment_generic, on_tripod),
+            ("closed_form", project, (chain.space, chain.sets[1], chain.start())),
+            ("newton", project, (plane.space, plane.sets[1], PlanePoint(1.0, 0.0)))]
+
+
+def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list[float]:
+    """µs per call of each of ``runs`` runs of ``calls`` calls of ``projector(*args)``."""
+    solver = projector(*args).solver
+    if solver != tag:
+        raise RuntimeError(f"the {tag} input ran {solver}")
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            projector(*args)
+        times.append((time.perf_counter() - t0) / calls * 1e6)
+    return times
+
+
 def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
     print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
           f"{platform.python_version()}, {platform.machine()}")
@@ -47,6 +78,11 @@ def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
     for name in SCENARIOS:
         times = per_cycle_us(name, runs, cycles)
         print(f"{name:<16} {min(times):>12.2f} {max(times):>12.2f}")
+    print(f"# min of {runs} runs of {CALLS} projector calls")
+    print(f"{'solver':<16} {'min us/call':>12} {'max us/call':>12}")
+    for tag, projector, args in projector_calls():
+        times = per_call_us(tag, projector, args, runs, CALLS)
+        print(f"{tag:<16} {min(times):>12.2f} {max(times):>12.2f}")
     return 0
 
 
