@@ -13,10 +13,14 @@ auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
 ``iterate`` picks its loop from the types of its inputs.  A ``Plane`` with
 the sets ``(AxisLine(), Epigraph(eps))`` runs a float kernel: x_n stays on
 the axis, one call to the epigraph solver gives the feet of a block of
-cycles, and points are built only where the trace stores them.  Its
-output is bitwise the generic loop's.  Every other space or set tuple,
-including the reversed pair ``(Epigraph(eps), AxisLine())``, runs the
-generic loop through ``project`` and ``space.distance``.
+cycles, the kernel fills the trace's columns for the whole block at once,
+and points are built only where the trace stores them.  Its output is
+bitwise the generic loop's: r and a are distances along one axis, where
+``math.hypot`` is exactly ``abs``, so they are numpy ``abs`` columns, while
+b and s keep ``math.hypot`` per cycle, since ``np.hypot`` can differ from
+it in the last bit.  Every other space or set tuple, including the
+reversed pair ``(Epigraph(eps), AxisLine())``, runs the generic loop
+through ``project`` and ``space.distance``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -212,18 +217,25 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
 
     A cycle projects x onto the epigraph, giving the foot y = (u, height),
     and y onto the axis, giving (u, 0).  :func:`_epigraph_feet` solves the
-    feet ``_BLOCK`` cycles per call, and every distance is the ``math.hypot``
-    that ``Plane.distance`` evaluates, with the same operands in the same
-    order, so the trace is bitwise the generic loop's.  Points are built only
-    where the trace stores them; ``start`` is validated once, here, and
-    epsilon by the ``Epigraph`` constructor.
+    feet ``_BLOCK`` cycles per call, and each column is then written for the
+    block in one slice.  Past the first cycle x lies on the axis, so
+    ``Plane.distance``'s ``hypot(x_x - u, 0.0)`` for r and
+    ``hypot(0.0, -height)`` for a are exactly ``abs(x_x - u)`` and
+    ``abs(height)``; they are taken as numpy ``abs`` over the block.  b and s
+    keep ``math.hypot`` on the same operands, mapped over the block, because
+    ``np.hypot`` differs from it in the last bit for a few pairs in a
+    thousand.  The first cycle, which may start off the
+    axis, has r and b by ``math.hypot`` and no s.  So the trace is bitwise
+    the generic loop's.  Points are built only where the trace stores them;
+    ``start`` is validated once, here, and epsilon by the ``Epigraph``
+    constructor.
     """
     epsilon = sets[1].epsilon
     space._check(start)
-    hypot, isfinite = math.hypot, math.isfinite
+    hypot = math.hypot
     n = len(r)
     x_x, x_y = start.x, start.y
-    y_x = y_y = 0.0
+    y_y = 0.0  # the previous foot is (x_x, y_y); the first cycle has none
     i = 0
     while i < n:
         us, heights = [], []
@@ -233,21 +245,35 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
         except NumericalFailureError as exc:
             failure = str(exc)
         finally:
-            # a non-finite foot raises here before any error of a later cycle
-            for u, height in zip(us, heights):
-                if not (isfinite(u) and isfinite(height)):
-                    PlanePoint(u, height)  # raises the error the generic loop raises here
-                r[i] = hypot(x_x - u, x_y - 0.0)  # d(x, x_next)
-                b_arr[i] = hypot(u - x_x, height - x_y)  # d(y, x)
-                a_arr[i + 1] = hypot(u - u, 0.0 - height)  # d(x_next, y)
-                if i:
-                    s_arr[i] = hypot(y_x - u, y_y - height)  # d(y_prev, y)
-                y_x, y_y = u, height
-                i += 1
-                if i % stride <= 1 or i == n:
-                    point_indices.append(i)
-                    points.append(PlanePoint(u, 0.0))
-                x_x, x_y = u, 0.0
+            if m := len(us):
+                u, height = np.array([x_x, *us]), np.array([y_y, *heights])
+                finite = np.isfinite(u[1:]) & np.isfinite(height[1:])
+                if not finite.all():
+                    # the first non-finite foot raises here before any later cycle's error
+                    j = int(finite.argmin())
+                    PlanePoint(us[j], heights[j])  # the error the generic loop raises
+                du = u[:-1] - u[1:]
+                np.abs(du, out=r[i:i + m])  # d(x, x_next) = hypot(x_x - u, 0.0)
+                np.abs(height[1:], out=a_arr[i + 1:i + m + 1])  # d(x_next, y) = hypot(0.0, -height)
+                du, dh = du.tolist(), (height[:-1] - height[1:]).tolist()
+                b_arr[i:i + m] = list(map(hypot, du, heights))  # d(y, x)
+                s_arr[i:i + m] = list(map(hypot, du, dh))  # d(y_prev, y)
+                if i == 0:  # x may start off the axis, and there is no y_prev
+                    r[0] = hypot(x_x - us[0], x_y - 0.0)
+                    b_arr[0] = hypot(us[0] - x_x, heights[0] - x_y)
+                    s_arr[0] = np.nan
+                if stride == 1:
+                    point_indices.extend(range(i + 1, i + m + 1))
+                    points.extend(map(PlanePoint, us, repeat(0.0, m)))
+                else:  # the block's cycles k with k % stride <= 1, then cycle n
+                    kept = [k for j in range(i + 1 - (i + 1) % stride, i + m + 1, stride)
+                            for k in (j, j + 1) if i < k <= i + m]
+                    if i + m == n and n % stride > 1:
+                        kept.append(n)
+                    point_indices += kept
+                    points += [PlanePoint(us[k - i - 1], 0.0) for k in kept]
+                i += m
+                x_x, x_y, y_y = us[-1], 0.0, heights[-1]
         if failure is not None:
             return i, PlanePoint(x_x, x_y), failure
     return n, None, None

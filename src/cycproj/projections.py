@@ -191,8 +191,11 @@ def project_segment_generic(space, seg: Segment, x) -> ProjectionResult:
     den = fp - 2.0 * f0 + fm
     if den > 0.0:
         vertex = base - h * (fp - fm) / (2.0 * den)
-        if 0.0 <= vertex <= 1.0 and abs(vertex - base) <= 2.0 * h and f(vertex) <= f0:
-            t_best = vertex
+        if 0.0 <= vertex <= 1.0 and abs(vertex - base) <= 2.0 * h:
+            f_vertex = f(vertex)
+            # a base clamped off t_best may sit across a kink from it
+            if f_vertex <= f0 and (base == t_best or f_vertex <= f(t_best)):
+                t_best = vertex
 
     point = geodesic(start, end, t_best)
     return ProjectionResult(point, distance(x, point), "golden_section")
@@ -409,10 +412,12 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
     A failure raises :class:`NumericalFailureError`; the feet solved before it
     stay in the lists.
     """
-    e = x0 ** (-epsilon) if x0 > 0.0 else 0.0
+    neg_eps, eps1 = -epsilon, epsilon + 1.0
+    u_append, height_append = us.append, heights.append
+    e = x0 ** neg_eps if x0 > 0.0 else 0.0
     if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
-        us.append(x0)
-        heights.append(y0)
+        u_append(x0)
+        height_append(y0)
         cycles, y0 = cycles - 1, 0.0
     for _ in range(cycles):
         h0 = math.inf
@@ -420,7 +425,7 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
             k = epsilon * e / x0
             tail = 1.0 + e - y0
             g = 0.0 - k * tail
-            gp = 1.0 + (epsilon + 1.0) * (k / x0) * tail + k * k
+            gp = 1.0 + eps1 * (k / x0) * tail + k * k
             # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
             h0 = 0.0 - g
         if h0 <= x0:
@@ -434,10 +439,11 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
             base = 0.0
             lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
 
-        scale = max(1.0, abs(x0), abs(y0))
-        for _ in range(_MAX_NEWTON):
-            if abs(g) <= _TOL * scale:
-                break
+        ax, ay = abs(x0), abs(y0)  # the limit is _TOL * max(1.0, ax, ay), without a call
+        scale = ax if ax >= ay else ay
+        limit = _TOL * scale if scale > 1.0 else _TOL
+        steps = _MAX_NEWTON
+        while not abs(g) <= limit:
             if g > 0.0:
                 hi = d
             else:
@@ -447,24 +453,26 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
                 d_next = 0.5 * (lo + hi)
             d = d_next
             u = base + d
-            e = u ** (-epsilon)
+            e = u ** neg_eps
             k = epsilon * e / u
             tail = 1.0 + e - y0
             g = (d - (x0 - base)) - k * tail
-            gp = 1.0 + (epsilon + 1.0) * (k / u) * tail + k * k
-        else:
-            raise NumericalFailureError(
-                f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), epsilon={epsilon!r}"
-            )
+            gp = 1.0 + eps1 * (k / u) * tail + k * k
+            steps -= 1
+            if not steps:  # the residual after the last allowed step is not tested
+                raise NumericalFailureError(
+                    f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), "
+                    f"epsilon={epsilon!r}"
+                )
 
         # One unguarded Newton step from the converged residual pushes the foot
         # to machine precision; the two-set step-size chains are checked with
         # 1e-12 slack downstream.
         d -= g / gp
         x0 = base + d
-        e = x0 ** (-epsilon)
-        us.append(x0)
-        heights.append(1.0 + e)
+        e = x0 ** neg_eps
+        u_append(x0)
+        height_append(1.0 + e)
         y0 = 0.0
 
 

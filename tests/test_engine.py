@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycproj import (
     AxisLine,
@@ -216,6 +217,22 @@ KERNEL_STARTS = [
 ]
 
 
+@st.composite
+def kernel_runs(draw):
+    """An epsilon, a start on the axis, off it, inside the epigraph or at x <= 0,
+    a cycle count reaching past three blocks and a stride."""
+    eps = draw(st.floats(0.01, 2.0))
+    kind = draw(st.sampled_from(["on-axis", "off-axis", "inside", "x<=0"]))
+    if kind == "x<=0":
+        x, y = draw(st.floats(-100.0, 0.0)), draw(st.floats(-100.0, 100.0))
+    else:
+        x = draw(st.floats(1e-3, 100.0))
+        y = {"on-axis": 0.0,
+             "off-axis": draw(st.floats(-100.0, 1.0)),  # below the boundary 1 + x**(-eps)
+             "inside": 1.0 + x ** -eps + draw(st.floats(0.0, 100.0))}[kind]
+    return eps, PlanePoint(x, y), draw(st.integers(1, 3 * _BLOCK + 5)), draw(st.integers(1, 9))
+
+
 class TestAxisEpigraphKernel:
     @pytest.mark.parametrize("eps", [0.01, 0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("xy", KERNEL_STARTS)
@@ -224,6 +241,14 @@ class TestAxisEpigraphKernel:
         for n in (1, 7, 500, 3000):
             assert outcome(iterate, space, sets, start, n) == \
                 outcome(reference_iterate, space, sets, start, n), n
+
+    @given(kernel_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_the_generic_loop_on_random_runs(self, run):
+        eps, start, n, stride = run
+        space, sets = Plane(), (AxisLine(), Epigraph(eps))
+        assert outcome(iterate, space, sets, start, n, stride=stride) == \
+            outcome(reference_iterate, space, sets, start, n, stride=stride)
 
     def test_bitwise_the_generic_loop_with_stride(self):
         space, sets = Plane(), (AxisLine(), Epigraph(0.5))

@@ -18,7 +18,7 @@ def test_table_has_a_row_per_scenario(capsys):
     split = lines.index(f"# min of 2 runs of {percycle.CALLS} projector calls")
     cycles = {line.split()[0]: line.split()[1:] for line in lines[2:split]}
     calls = {line.split()[0]: line.split()[1:] for line in lines[split + 2:]}
-    assert list(cycles) == list(percycle.SCENARIOS)
+    assert list(cycles) == [*percycle.SCENARIOS, "plane-two-sets:stride=100"]
     assert list(calls) == ["exact_piecewise", "golden_section", "closed_form", "newton"]
     for low, high in [*cycles.values(), *calls.values()]:
         assert 0.0 < float(low) <= float(high)

@@ -464,23 +464,21 @@ leg_lengths = st.lists(st.floats(0.25, 1.0), min_size=3, max_size=5)
 @st.composite
 def crossing_cases(draw):
     """A product of two 3-5 leg trees, a segment whose left coordinate crosses
-    the center, and a point.  The segment's ends lie at least a twentieth of
-    their leg from the center, so that no kink of the squared distance comes
-    within golden section's polish step of an end."""
+    the center, and a point.  The segment's ends may lie anywhere on their legs,
+    the center included, so a kink of the squared distance may come within
+    golden section's polish step of an end."""
     space = ProductSpace(StarTree(tuple(draw(leg_lengths))), StarTree(tuple(draw(leg_lengths))))
 
-    def factor_point(tree, leg=None, floor=0.0):
+    def factor_point(tree, leg=None):
         if leg is None:
             leg = draw(st.integers(0, tree.leg_count - 1))
-        return StarPoint(leg, draw(st.floats(floor, 1.0)) * tree.leg_lengths[leg])
+        return StarPoint(leg, draw(st.floats(0.0, 1.0)) * tree.leg_lengths[leg])
 
     k = space.left.leg_count
     a_leg = draw(st.integers(0, k - 1))
     b_leg = (a_leg + draw(st.integers(1, k - 1))) % k
-    seg = Segment(ProductPoint(factor_point(space.left, a_leg, 0.05),
-                               factor_point(space.right, floor=0.05)),
-                  ProductPoint(factor_point(space.left, b_leg, 0.05),
-                               factor_point(space.right, floor=0.05)))
+    seg = Segment(ProductPoint(factor_point(space.left, a_leg), factor_point(space.right)),
+                  ProductPoint(factor_point(space.left, b_leg), factor_point(space.right)))
     return space, seg, ProductPoint(factor_point(space.left), factor_point(space.right))
 
 
@@ -542,6 +540,33 @@ class TestCrossingSegments:
         generic = project_segment_generic(space, seg, x)
         assert exact.distance <= generic.distance + 1e-15
         assert space.distance(exact.point, generic.point) <= 1e-7
+
+    def test_golden_section_near_an_end_kink(self):
+        # one end of the segment lies within 4e-5 of the left tree's center, so
+        # the kink where the path crosses it is within golden section's polish
+        # step of t = 0 or t = 1, where the polish base is clamped off t_best
+        rng = np.random.default_rng(53)
+
+        def factor_point(tree, leg=None):
+            if leg is None:
+                leg = int(rng.integers(tree.leg_count))
+            return StarPoint(leg, float(rng.uniform()) * tree.leg_lengths[leg])
+
+        for _ in range(1000):
+            space = ProductSpace(*(StarTree(tuple(rng.uniform(0.5, 2.0, size).tolist()))
+                                   for size in rng.integers(3, 6, 2).tolist()))
+            k = space.left.leg_count
+            a_leg = int(rng.integers(k))
+            b_leg = (a_leg + int(rng.integers(1, k))) % k
+            far = ProductPoint(factor_point(space.left, a_leg), factor_point(space.right))
+            near = ProductPoint(StarPoint(b_leg, float(rng.uniform(0.0, 4e-5))),
+                                factor_point(space.right))
+            seg = Segment(far, near) if rng.uniform() < 0.5 else Segment(near, far)
+            x = ProductPoint(factor_point(space.left), factor_point(space.right))
+            exact = project_segment_tree_exact(space, seg, x)
+            generic = project_segment_generic(space, seg, x)
+            assert generic.distance - exact.distance <= 1e-11
+            assert space.distance(exact.point, generic.point) <= 1e-7
 
     def test_set_distance_against_sampled_minima(self):
         rng = np.random.default_rng(43)

@@ -5,9 +5,11 @@ solver tag: README's per-cycle table, and the per-call layer below it.
 
 Each of tripod, twisted-chain and plane-two-sets, with its default
 parameters, runs ``iterate`` for 2 000 cycles from its default start 15
-times.  The first table gives the fastest run's time per cycle, in µs, and
-the slowest for a sense of the spread.  The second times 200 calls of one
-fixed projection per solver tag, 15 times, in µs per call:
+times, storing every point; plane-two-sets runs once more at ``stride=100``,
+the point storage of a 10^6-cycle run.  The first table gives the fastest
+run's time per cycle, in µs, and the slowest for a sense of the spread.
+The second times 200 calls of one fixed projection per solver tag, 15
+times, in µs per call:
 ``exact_piecewise`` (``project``) and ``golden_section``
 (``project_segment_generic``) from the tripod's start onto its first
 segment, ``closed_form`` from the chain's start onto its second disc, and
@@ -27,19 +29,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cycproj import PlanePoint, build_scenario, iterate, project, project_segment_generic  # noqa: E402
 
 SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets")
+# (row label, scenario, stride): the first table's rows
+ROWS = (*((name, name, 1) for name in SCENARIOS),
+        ("plane-two-sets:stride=100", "plane-two-sets", 100))
 RUNS = 15
 CYCLES = 2000
 CALLS = 200
 
 
-def per_cycle_us(name: str, runs: int, cycles: int) -> list[float]:
+def per_cycle_us(name: str, runs: int, cycles: int, stride: int = 1) -> list[float]:
     """µs per cycle of each of ``runs`` runs of ``cycles`` cycles of ``name``."""
     scenario = build_scenario(name)
     space, sets, start = scenario.space, scenario.sets, scenario.start()
     times = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        trace = iterate(space, sets, start, cycles)
+        trace = iterate(space, sets, start, cycles, stride=stride)
         elapsed = time.perf_counter() - t0
         if trace.failed:
             raise RuntimeError(f"{name} failed after {trace.completed} cycles: {trace.failure}")
@@ -74,15 +79,15 @@ def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list
 def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
     print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
           f"{platform.python_version()}, {platform.machine()}")
-    print(f"{'scenario':<16} {'min us/cycle':>12} {'max us/cycle':>12}")
-    for name in SCENARIOS:
-        times = per_cycle_us(name, runs, cycles)
-        print(f"{name:<16} {min(times):>12.2f} {max(times):>12.2f}")
+    print(f"{'scenario':<25} {'min us/cycle':>12} {'max us/cycle':>12}")
+    for label, name, stride in ROWS:
+        times = per_cycle_us(name, runs, cycles, stride)
+        print(f"{label:<25} {min(times):>12.2f} {max(times):>12.2f}")
     print(f"# min of {runs} runs of {CALLS} projector calls")
-    print(f"{'solver':<16} {'min us/call':>12} {'max us/call':>12}")
+    print(f"{'solver':<25} {'min us/call':>12} {'max us/call':>12}")
     for tag, projector, args in projector_calls():
         times = per_call_us(tag, projector, args, runs, CALLS)
-        print(f"{tag:<16} {min(times):>12.2f} {max(times):>12.2f}")
+        print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
     return 0
 
 
