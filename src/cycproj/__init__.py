@@ -28,9 +28,6 @@ from .projections import (
     Segment,
     UnsupportedShapeError,
     project,
-    project_axis,
-    project_cross_disc,
-    project_epigraph,
     project_segment_generic,
     project_segment_tree_exact,
     set_distance,
@@ -97,9 +94,6 @@ __all__ = [
     "iterate",
     "midpoint",
     "project",
-    "project_axis",
-    "project_cross_disc",
-    "project_epigraph",
     "project_segment_generic",
     "project_segment_tree_exact",
     "rate_fit",

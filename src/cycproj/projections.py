@@ -45,9 +45,6 @@ __all__ = [
     "project",
     "project_segment_generic",
     "project_segment_tree_exact",
-    "project_axis",
-    "project_epigraph",
-    "project_cross_disc",
     "set_distance",
 ]
 
@@ -82,12 +79,6 @@ class AxisLine:
     """The x-axis of the plane."""
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """An epigraph's epsilon must be finite and positive."""
-    if not (0.0 < epsilon < math.inf):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Epigraph:
     """The closed convex region {(x, y) : x > 0, y >= 1 + x**(-epsilon)}."""
@@ -95,7 +86,8 @@ class Epigraph:
     epsilon: float
 
     def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     def boundary_height(self, x: float) -> float:
         return 1.0 + x ** (-self.epsilon)
@@ -336,9 +328,7 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
 # Axis
 
 
-def project_axis(x: PlanePoint) -> ProjectionResult:
-    if not isinstance(x, PlanePoint):
-        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
+def _project_axis(x: PlanePoint) -> ProjectionResult:
     return ProjectionResult(PlanePoint(x.x, 0.0), abs(x.y), "closed_form")
 
 
@@ -476,7 +466,7 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
         y0 = 0.0
 
 
-def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
+def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
 
     Points already in the set are returned unchanged.  Otherwise the foot is
@@ -502,9 +492,6 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     safeguarded Newton loop that bisects whenever a step leaves the bracket
     and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).
     """
-    _check_epsilon(epsilon)
-    if not isinstance(x, PlanePoint):
-        raise TypeError(f"expected PlanePoint, got {type(x).__name__}")
     x0, y0 = x.x, x.y
     if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
         return ProjectionResult(x, 0.0, "closed_form")
@@ -520,7 +507,7 @@ def project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
 _TIE_TOL = 1e-12
 
 
-def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> ProjectionResult:
+def _project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> ProjectionResult:
     """Exact projection onto a cross-sectional disc of the chain.
 
     The nearest lift of the disc is the plane at height h_i + k*Lambda with
@@ -529,9 +516,6 @@ def project_cross_disc(chain: TwistedChain, disc_index: int, x: ChainPoint) -> P
     transport is a rigid motion of discs, so this vertical drop is the exact
     closest point.
     """
-    if not (isinstance(disc_index, int) and 0 <= disc_index <= 2):  # a chain has three discs
-        raise ValueError(f"disc_index must be 0, 1 or 2, got {disc_index!r}")
-    chain._check(x)
     lam = chain.circumference
     delta = x.height - chain.disc_heights[disc_index]
     k = math.floor(delta / lam + 0.5)
@@ -555,7 +539,8 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
 
     A plane segment takes the closed form, a segment of a product of star
     trees the exact projector, any other segment golden section, and every
-    other set its exact projector.
+    other set its exact projector.  Those projectors trust their inputs: x is
+    checked here, and a set's parameters by the set's constructor.
     To force a segment solver, call :func:`project_segment_generic` or
     :func:`project_segment_tree_exact` directly.
     """
@@ -571,15 +556,18 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
     if isinstance(cset, AxisLine):
         if not isinstance(space, Plane):
             raise TypeError("AxisLine lives in the plane")
-        return project_axis(x)
+        space._check(x)
+        return _project_axis(x)
     if isinstance(cset, Epigraph):
         if not isinstance(space, Plane):
             raise TypeError("Epigraph lives in the plane")
-        return project_epigraph(cset.epsilon, x)
+        space._check(x)
+        return _project_epigraph(cset.epsilon, x)
     if isinstance(cset, CrossDisc):
         if not isinstance(space, TwistedChain):
             raise TypeError("CrossDisc lives in a twisted chain")
-        return project_cross_disc(space, cset.disc_index, x)
+        space._check(x)
+        return _project_cross_disc(space, cset.disc_index, x)
     raise TypeError(f"unknown convex set {type(cset).__name__}")
 
 

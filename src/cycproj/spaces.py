@@ -31,7 +31,9 @@ check every point they are given (``_check``) and raise ``TypeError`` or
 ``ValueError`` for a point that is not on it.  ``_distance`` and
 ``_geodesic`` are the unchecked internals behind them, for callers that have
 already validated their points; a product space combines its factors'
-internals, so each factor point is checked once per call.
+internals, so each factor point is checked once per call.  The checked
+``distance`` and ``geodesic`` are written once, below, and shared by every
+space.
 """
 
 from __future__ import annotations
@@ -64,9 +66,20 @@ def _require_finite(name: float | str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _check_unit_interval(t: float) -> None:
+def _checked_distance(space, p, q) -> float:
+    """``space._distance(p, q)`` for points checked to lie on the space."""
+    space._check(p)
+    space._check(q)
+    return space._distance(p, q)
+
+
+def _checked_geodesic(space, p, q, t: float):
+    """``space._geodesic(p, q, t)`` for checked points and t in [0, 1]."""
+    space._check(p)
+    space._check(q)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"geodesic parameter must lie in [0, 1], got {t!r}")
+    return space._geodesic(p, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +123,12 @@ class Plane:
         if not isinstance(p, PlanePoint):
             raise TypeError(f"expected PlanePoint, got {type(p).__name__}")
 
-    def distance(self, p: PlanePoint, q: PlanePoint) -> float:
-        self._check(p)
-        self._check(q)
-        return math.hypot(p.x - q.x, p.y - q.y)
+    # bound in each class's own body, where per-class wrappers look them up
+    distance = _checked_distance
+    geodesic = _checked_geodesic
 
     def _distance(self, p: PlanePoint, q: PlanePoint) -> float:
         return math.hypot(p.x - q.x, p.y - q.y)
-
-    def geodesic(self, p: PlanePoint, q: PlanePoint, t: float) -> PlanePoint:
-        self._check(p)
-        self._check(q)
-        _check_unit_interval(t)
-        return self._geodesic(p, q, t)
 
     def _geodesic(self, p: PlanePoint, q: PlanePoint, t: float) -> PlanePoint:
         if t == 0.0:
@@ -226,25 +232,18 @@ class StarTree:
         except TypeError:  # StarPoint checks its offset but not its leg
             raise TypeError(f"leg index must be an int, got {p.leg!r}") from None
 
-    def distance(self, p: StarPoint, q: StarPoint) -> float:
-        """Length metric: |offsets| apart on one leg, through the center otherwise."""
-        self._check(p)
-        self._check(q)
-        return self._distance(p, q)
+    # bound in each class's own body, where per-class wrappers look them up
+    distance = _checked_distance
+    geodesic = _checked_geodesic
 
     def _distance(self, p: StarPoint, q: StarPoint) -> float:
+        """Length metric: |offsets| apart on one leg, through the center otherwise."""
         if p.leg == q.leg:
             return abs(p.offset - q.offset)
         return p.offset + q.offset
 
-    def geodesic(self, p: StarPoint, q: StarPoint, t: float) -> StarPoint:
-        """Constant-speed parametrization of the unique arc from p to q."""
-        self._check(p)
-        self._check(q)
-        _check_unit_interval(t)
-        return self._geodesic(p, q, t)
-
     def _geodesic(self, p: StarPoint, q: StarPoint, t: float) -> StarPoint:
+        """Constant-speed parametrization of the unique arc from p to q."""
         if t == 0.0:
             return p
         if t == 1.0:
@@ -307,20 +306,13 @@ class ProductSpace:
         self.left._check(p.left)
         self.right._check(p.right)
 
-    def distance(self, p: ProductPoint, q: ProductPoint) -> float:
-        self._check(p)
-        self._check(q)
-        return self._distance(p, q)
+    # bound in each class's own body, where per-class wrappers look them up
+    distance = _checked_distance
+    geodesic = _checked_geodesic
 
     def _distance(self, p: ProductPoint, q: ProductPoint) -> float:
         return math.hypot(self.left._distance(p.left, q.left),
                           self.right._distance(p.right, q.right))
-
-    def geodesic(self, p: ProductPoint, q: ProductPoint, t: float) -> ProductPoint:
-        self._check(p)
-        self._check(q)
-        _check_unit_interval(t)
-        return self._geodesic(p, q, t)
 
     def _geodesic(self, p: ProductPoint, q: ProductPoint, t: float) -> ProductPoint:
         # Componentwise constant-speed geodesics at the same parameter give
@@ -460,18 +452,16 @@ class TwistedChain:
                 f"height {p.height!r} not normalized to [0, {self.circumference!r})"
             )
 
-    def distance(self, p: ChainPoint, q: ChainPoint) -> float:
+    # bound in the class's own body, where per-class wrappers look it up
+    distance = _checked_distance
+
+    def _distance(self, p: ChainPoint, q: ChainPoint) -> float:
         """Quotient metric: best match over lifts of q.
 
         The lift ``k`` places q at disc coordinates ``R_{k*twist}(q)`` and
         height ``q.height + k*circumference``.  The scanned lifts, fixed per
         chain from its radius and circumference, contain the nearest one.
         """
-        self._check(p)
-        self._check(q)
-        return self._distance(p, q)
-
-    def _distance(self, p: ChainPoint, q: ChainPoint) -> float:
         # Canonical argument order makes d(p, q) and d(q, p) bitwise equal.
         if (p.height, p.u, p.v) > (q.height, q.u, q.v):
             p, q = q, p

@@ -1,9 +1,9 @@
-"""Parity of ``project_epigraph`` with a frozen copy of its one-foot solver.
+"""Parity of ``project`` onto an ``Epigraph`` with a frozen copy of its one-foot solver.
 
 The functions below are the epigraph solve as it stood when each call solved
 a single foot: the stationarity function, the geometric bracket and the
 float core ``_epigraph_foot``, with their constants written in.  Over a grid
-of epsilons and points, ``project_epigraph`` must give the same repr of the
+of epsilons and points, the projection must give the same repr of the
 foot and the distance and the same solver tag, or raise the same exception
 type with the same message.
 """
@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from cycproj import NumericalFailureError, PlanePoint, project_epigraph
+from cycproj import Epigraph, NumericalFailureError, Plane, PlanePoint, project
 from test_engine import KERNEL_STARTS
 
 TOL = 1e-12
@@ -117,7 +117,7 @@ def reference_projection(epsilon, x):
 
 
 def shipped_projection(epsilon, x):
-    result = project_epigraph(epsilon, x)
+    result = project(Plane(), Epigraph(epsilon), x)
     return repr(result.point), repr(result.distance), result.solver
 
 

@@ -29,9 +29,6 @@ from cycproj import (
     UnsupportedShapeError,
     build_tripod_counterexample,
     project,
-    project_axis,
-    project_cross_disc,
-    project_epigraph,
     project_segment_generic,
     project_segment_tree_exact,
     set_distance,
@@ -39,6 +36,7 @@ from cycproj import (
 
 DELTA = math.sqrt(2.0) / 4.0
 PLANE = Plane()
+AXIS = AxisLine()
 # Factor points off the unit tripod's trees: a fourth leg, and past a leg's end.
 OFF_TREE = [pytest.param(StarPoint(3, 0.2), id="leg-3"),
             pytest.param(StarPoint(1, 1.5), id="offset-1.5")]
@@ -115,25 +113,25 @@ def epigraph_stationarity(eps, x0, y0, u):
 
 class TestAxis:
     def test_drops_height(self):
-        res = project_axis(PlanePoint(3.0, 4.0))
+        res = project(PLANE, AXIS, PlanePoint(3.0, 4.0))
         assert res.point == PlanePoint(3.0, 0.0)
         assert res.distance == 4.0
         assert res.solver == "closed_form"
 
     def test_fixed_point(self):
-        res = project_axis(PlanePoint(-1.0, 0.0))
+        res = project(PLANE, AXIS, PlanePoint(-1.0, 0.0))
         assert res.point == PlanePoint(-1.0, 0.0)
         assert res.distance == 0.0
 
     def test_negative_height(self):
-        res = project_axis(PlanePoint(0.0, -2.0))
+        res = project(PLANE, AXIS, PlanePoint(0.0, -2.0))
         assert res.point == PlanePoint(0.0, 0.0)
         assert res.distance == 2.0
 
 
 class TestEpigraph:
     def test_membership(self):
-        res = project_epigraph(1.0, PlanePoint(2.0, 10.0))
+        res = project(PLANE, Epigraph(1.0), PlanePoint(2.0, 10.0))
         assert res.point == PlanePoint(2.0, 10.0)
         assert res.distance == 0.0
         assert res.solver == "closed_form"
@@ -141,7 +139,7 @@ class TestEpigraph:
     @pytest.mark.parametrize("x0, y0", [(1.0, 0.0), (-5.0, 0.0)])
     def test_boundary_solve_against_dense_oracle(self, x0, y0):
         eps = 1.0
-        res = project_epigraph(eps, PlanePoint(x0, y0))
+        res = project(PLANE, Epigraph(eps), PlanePoint(x0, y0))
         u = res.point.x
         assert res.solver == "newton"
         assert abs(epigraph_stationarity(eps, x0, y0, u)) <= 1e-13
@@ -154,26 +152,24 @@ class TestEpigraph:
             assert 0.0 < u < 1.0
 
     def test_solved_distance_matches_metric(self):
-        res = project_epigraph(0.5, PlanePoint(3.0, -1.0))
+        res = project(PLANE, Epigraph(0.5), PlanePoint(3.0, -1.0))
         assert res.distance == pytest.approx(PLANE.distance(PlanePoint(3.0, -1.0), res.point),
                                              abs=1e-12)
 
     @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_epsilon_must_be_finite_and_positive(self, eps):
-        # one rule for the set and the direct call: a usage error, not a failed solve
+        # a usage error, not a failed solve
         with pytest.raises(ValueError, match="epsilon must be positive"):
             Epigraph(eps)
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            project_epigraph(eps, PlanePoint(3.0, -1.0))
 
     def test_bracketing_failure_reports_inputs(self):
         with pytest.raises(NumericalFailureError, match="1e\\+300"):
-            project_epigraph(1.0, PlanePoint(1e300, 0.0))
+            project(PLANE, Epigraph(1.0), PlanePoint(1e300, 0.0))
 
     def test_underflowed_bracket_width_reads_zero(self):
         # h(1e300) underflows to 0.0; its negation must not print as -0.0
         with pytest.raises(NumericalFailureError) as info:
-            project_epigraph(0.5, PlanePoint(1e300, 0.0))
+            project(PLANE, Epigraph(0.5), PlanePoint(1e300, 0.0))
         assert "width 0.0 " in str(info.value)
         assert "-0.0" not in str(info.value)
 
@@ -187,7 +183,7 @@ class TestEpigraph:
         (0.01, 1e-300, 0.14349899580976305),
     ])
     def test_tiny_x_still_projects(self, eps, x0, foot):
-        res = project_epigraph(eps, PlanePoint(x0, 0.0))
+        res = project(PLANE, Epigraph(eps), PlanePoint(x0, 0.0))
         assert res.solver == "newton"
         assert res.point.x == pytest.approx(foot, rel=1e-13, abs=0.0)
         assert abs(epigraph_stationarity(eps, x0, 0.0, res.point.x)) <= 1e-13
@@ -196,18 +192,19 @@ class TestEpigraph:
     def test_foot_below_float_resolution_raises(self, eps, x0):
         # the foot lies less than one ulp from x0, so the step would read 0
         with pytest.raises(NumericalFailureError, match=re.escape(f"({x0!r}, 0.0), epsilon={eps!r}")):
-            project_epigraph(eps, PlanePoint(x0, 0.0))
+            project(PLANE, Epigraph(eps), PlanePoint(x0, 0.0))
 
     def test_random_plane_points_against_grid_oracle(self):
         rng = np.random.default_rng(2024)
         points = rng.uniform(-5.0, 5.0, size=(20_000, 2))
         grid = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 4001))
         for k, eps in enumerate((0.25, 0.5, 1.0)):
+            epigraph = Epigraph(eps)
             outside = []
             for x0, y0 in points[k::3].tolist():
-                res = project_epigraph(eps, PlanePoint(x0, y0))
+                res = project(PLANE, epigraph, PlanePoint(x0, y0))
                 if res.solver == "closed_form":
-                    assert Epigraph(eps).contains(PlanePoint(x0, y0))
+                    assert epigraph.contains(PlanePoint(x0, y0))
                     continue
                 u = res.point.x
                 scale = max(1.0, abs(x0), abs(y0))
@@ -222,18 +219,6 @@ class TestEpigraph:
                 assert np.all(dist[part] ** 2 <= d2 + 1e-12)
                 assert np.all(d2 - dist[part] ** 2 <= 1e-3)
 
-    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
-    def test_direct_call_is_bitwise_project(self, eps):
-        # both stop the Newton solve at the one projection tolerance
-        def bits(res):
-            return res.point.x.hex(), res.point.y.hex(), res.distance.hex(), res.solver
-
-        points = np.random.default_rng(11).uniform(-5.0, 5.0, size=(30_000, 2))
-        moved = [(x0, y0) for x0, y0 in points.tolist()
-                 if bits(project_epigraph(eps, PlanePoint(x0, y0)))
-                 != bits(project(PLANE, Epigraph(eps), PlanePoint(x0, y0)))]
-        assert not moved, f"{len(moved)} of {len(points)} feet differ, first {moved[0]}"
-
     @pytest.mark.parametrize("eps", [0.25, 1.0])
     @pytest.mark.parametrize("x_start, cycles", [(1.3, 300), (280.0, 200)])
     def test_trajectory_feet_within_one_ulp_of_mpmath_root(self, eps, x_start, cycles):
@@ -241,10 +226,11 @@ class TestEpigraph:
         mpmath = pytest.importorskip("mpmath")
         worst = 0.0
         x0 = x_start
+        epigraph = Epigraph(eps)
         with mpmath.workdps(50):
             e = mpmath.mpf(eps)
             for _ in range(cycles):
-                u = project_epigraph(eps, PlanePoint(x0, 0.0)).point.x
+                u = project(PLANE, epigraph, PlanePoint(x0, 0.0)).point.x
                 x, root = mpmath.mpf(x0), mpmath.mpf(u)
                 for _ in range(4):  # Newton from the float foot, quadratic at 50 digits
                     ue = root ** (-e)
@@ -623,13 +609,13 @@ class TestCrossDisc:
 
     def test_on_disc_fixed(self, chain):
         x = ChainPoint(0.03, -0.04, chain.disc_heights[1])
-        res = project_cross_disc(chain, 1, x)
+        res = project(chain, CrossDisc(1), x)
         assert res.point == x
         assert res.distance == 0.0
 
     def test_unwrapped_drop(self, chain):
         x = ChainPoint(0.05, 0.0, 1.0)
-        res = project_cross_disc(chain, 0, x)
+        res = project(chain, CrossDisc(0), x)
         assert res.point.u == pytest.approx(0.05, abs=1e-15)
         assert res.point.v == pytest.approx(0.0, abs=1e-15)
         assert res.point.height == 0.0
@@ -638,7 +624,7 @@ class TestCrossDisc:
 
     def test_wrapped_drop_rotates(self, chain):
         x = ChainPoint(0.05, 0.0, 0.0)
-        res = project_cross_disc(chain, 2, x)  # disc at height 2: wrap downwards
+        res = project(chain, CrossDisc(2), x)  # disc at height 2: wrap downwards
         assert res.point.u == pytest.approx(0.05 * math.cos(1.0), abs=1e-15)
         assert res.point.v == pytest.approx(0.05 * math.sin(1.0), abs=1e-15)
         assert res.point.height == 2.0
@@ -649,20 +635,18 @@ class TestCrossDisc:
         chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
         x = ChainPoint(0.05, 0.0, 2.5)  # exactly half a loop from disc 1
         with pytest.raises(AmbiguousProjectionError):
-            project_cross_disc(chain, 1, x)
+            project(chain, CrossDisc(1), x)
 
     @pytest.mark.parametrize("index", [1.5, 3, -1])
-    def test_bad_disc_index_rejected(self, chain, index):
+    def test_bad_disc_index_rejected(self, index):
         message = re.escape(f"disc_index must be 0, 1 or 2, got {index!r}")
         with pytest.raises(ValueError, match=message):
             CrossDisc(index)
-        with pytest.raises(ValueError, match=message):
-            project_cross_disc(chain, index, ChainPoint(0.05, 0.0, 1.0))
 
     def test_projected_distance_is_metric_distance(self, chain):
         x = ChainPoint(0.02, 0.07, 2.6)
         for i in range(3):
-            res = project_cross_disc(chain, i, x)
+            res = project(chain, CrossDisc(i), x)
             assert res.distance == pytest.approx(chain.distance(x, res.point), abs=1e-12)
 
 
