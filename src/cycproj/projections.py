@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .spaces import (
     ChainPoint,
@@ -282,6 +283,17 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple:
     return found
 
 
+def _exact_piece_minimum(c_l: float, ds_l: float, c_r: float, ds_r: float, lo: float,
+                         hi: float) -> tuple[float, Fraction]:
+    """t in [lo, hi] minimizing (c_l + ds_l t)^2 + (c_r + ds_r t)^2, and the minimum, in
+    exact rationals: for a segment too short for its squares to be floats."""
+    c_l, ds_l, c_r, ds_r = map(Fraction, (c_l, ds_l, c_r, ds_r))
+    qa = ds_l * ds_l + ds_r * ds_r
+    t = min(Fraction(hi), max(Fraction(lo), -(ds_l * c_l + ds_r * c_r) / qa)) if qa else Fraction(lo)
+    v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
+    return float(t), v_l * v_l + v_r * v_r
+
+
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
     """Exact projector onto any segment of a product of star trees.
 
@@ -307,20 +319,24 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
         # off it; a center x has offset 0, where both forms agree
         c_l = s0_l - sign_l * off_l if leg_xl == leg_l else s0_l + sign_l * off_l
         c_r = s0_r - sign_r * off_r if leg_xr == leg_r else s0_r + sign_r * off_r
-        # qa underflows to 0.0 when every |ds| is below about 1e-162
-        t_piece = -(ds_l * c_l + ds_r * c_r) / qa if qa else lo
-        # min(hi, max(lo, t_piece)) without the calls, as lo < hi
-        t_piece = (t_piece if t_piece < hi else hi) if t_piece > lo else lo
-        v_l, v_r = c_l + ds_l * t_piece, c_r + ds_r * t_piece
-        v = v_l * v_l + v_r * v_r
+        if qa:
+            t_piece = -(ds_l * c_l + ds_r * c_r) / qa
+            # min(hi, max(lo, t_piece)) without the calls, as lo < hi
+            t_piece = (t_piece if t_piece < hi else hi) if t_piece > lo else lo
+            v_l, v_r = c_l + ds_l * t_piece, c_r + ds_r * t_piece
+            v = v_l * v_l + v_r * v_r
+        else:  # qa underflows to 0.0 when every |ds| is below about 1e-162
+            t_piece, v = _exact_piece_minimum(c_l, ds_l, c_r, ds_r, lo, hi)
         if v < best_v:
             best_v, t = v, t_piece
-    # rounding can carry s0 + ds * t past a leg's end where the segment ends there
-    s_l, s_r = s0_l + ds_l * t, s0_r + ds_r * t
-    foot = ProductPoint(StarPoint(pos_l, s_l if s_l <= len_l else len_l) if s_l >= 0.0
-                        else StarPoint(neg_l, -s_l),
-                        StarPoint(pos_r, s_r if s_r <= len_r else len_r) if s_r >= 0.0
-                        else StarPoint(neg_r, -s_r))
+    if t == 0.0 or t == 1.0:  # s0 + ds * 1.0 = a + (b - a) can round off the end b
+        foot = seg.end if t else seg.start
+    else:  # rounding can carry s0 + ds * t past a leg's end where the segment ends there
+        s_l, s_r = s0_l + ds_l * t, s0_r + ds_r * t
+        foot = ProductPoint(StarPoint(pos_l, s_l if s_l <= len_l else len_l) if s_l >= 0.0
+                            else StarPoint(neg_l, -s_l),
+                            StarPoint(pos_r, s_r if s_r <= len_r else len_r) if s_r >= 0.0
+                            else StarPoint(neg_r, -s_r))
     return ProjectionResult(foot, space.distance(x, foot), "exact_piecewise")
 
 

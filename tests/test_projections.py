@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cycproj import projections
 from cycproj import (
@@ -468,6 +468,24 @@ def crossing_cases(draw):
     return space, seg, ProductPoint(factor_point(space.left), factor_point(space.right))
 
 
+@st.composite
+def tree_segments(draw):
+    """A product of two 3-5 leg trees and a segment of it whose end coordinates
+    each lie at a leg's end, at the center or anywhere on a leg."""
+    space = ProductSpace(StarTree(tuple(draw(leg_lengths))), StarTree(tuple(draw(leg_lengths))))
+
+    def factor_point(tree):
+        leg = draw(st.integers(0, tree.leg_count - 1))
+        length = tree.leg_lengths[leg]
+        return StarPoint(leg, draw(st.sampled_from([0.0, length]) | st.floats(0.0, length)))
+
+    return space, Segment(ProductPoint(factor_point(space.left), factor_point(space.right)),
+                          ProductPoint(factor_point(space.left), factor_point(space.right)))
+
+
+_TRIPOD = build_tripod_counterexample(3)
+
+
 class TestCrossingSegments:
     """Segments of a product of star trees whose coordinates pass a tree center."""
 
@@ -517,6 +535,19 @@ class TestCrossingSegments:
         res = project_segment_tree_exact(space, seg, seg.end)
         assert res.point == seg.end
         assert res.distance == 0.0
+
+    @given(tree_segments())
+    @example((_TRIPOD.space, _TRIPOD.sets[0]))
+    @example((_TRIPOD.space, _TRIPOD.sets[1]))
+    @example((_TRIPOD.space, _TRIPOD.sets[2]))
+    @settings(max_examples=300, deadline=None)
+    def test_ends_are_their_own_feet(self, case):
+        # the tripod's endpoint orbit runs through these ends every cycle
+        space, seg = case
+        for end in (seg.start, seg.end):
+            res = project(space, seg, end)
+            assert repr(res.point) == repr(end)
+            assert res.distance == 0.0
 
     @given(crossing_cases())
     @settings(max_examples=200, deadline=None)
