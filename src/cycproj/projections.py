@@ -289,7 +289,8 @@ def _exact_piece_minimum(c_l: float, ds_l: float, c_r: float, ds_r: float, lo: f
     exact rationals: for a segment too short for its squares to be floats."""
     c_l, ds_l, c_r, ds_r = map(Fraction, (c_l, ds_l, c_r, ds_r))
     qa = ds_l * ds_l + ds_r * ds_r
-    t = min(Fraction(hi), max(Fraction(lo), -(ds_l * c_l + ds_r * c_r) / qa)) if qa else Fraction(lo)
+    t = (min(Fraction(hi), max(Fraction(lo), -(ds_l * c_l + ds_r * c_r) / qa)) if qa
+         else Fraction(lo))
     v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
     return float(t), v_l * v_l + v_r * v_r
 
@@ -377,32 +378,22 @@ _MAX_NEWTON = 200
 
 def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...]:
     """[lo, hi] with g(lo) <= 0 <= g(hi) from u = 1, then its midpoint d and g, g' there."""
-    g1, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, 1.0)
-    lo = hi = 1.0
-    if g1 < 0.0:
-        for _ in range(_MAX_DOUBLINGS):
-            lo = hi
-            hi *= 2.0
-            g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, hi)
-            if g >= 0.0:
-                break
-        else:
+    g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, 1.0)
+    doubling = g < 0.0  # the root lies above u = 1; halve u while it lies below
+    factor = 2.0 if doubling else 0.5
+    prev = u = 1.0
+    steps = 0
+    while not (g >= 0.0 if doubling else g <= 0.0):  # a g(1) of 0 skips the search
+        if steps == _MAX_DOUBLINGS:
             raise NumericalFailureError(
                 f"failed to bracket the epigraph foot from ({x0!r}, {y0!r}), "
-                f"epsilon={epsilon!r}: no sign change within {_MAX_DOUBLINGS} doublings"
+                f"epsilon={epsilon!r}: no sign change within {_MAX_DOUBLINGS} "
+                f"{'doublings' if doubling else 'halvings'}"
             )
-    elif g1 > 0.0:
-        for _ in range(_MAX_DOUBLINGS):
-            hi = lo
-            lo *= 0.5
-            g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, lo)
-            if g <= 0.0:
-                break
-        else:
-            raise NumericalFailureError(
-                f"failed to bracket the epigraph foot from ({x0!r}, {y0!r}), "
-                f"epsilon={epsilon!r}: no sign change within {_MAX_DOUBLINGS} halvings"
-            )
+        steps += 1
+        prev, u = u, u * factor
+        g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, u)
+    lo, hi = (prev, u) if doubling else (u, prev)
     d = 0.5 * (lo + hi)
     return (lo, hi, d) + _epigraph_stationarity(epsilon, x0, y0, 0.0, d)
 
@@ -420,66 +411,71 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
     """
     neg_eps, eps1 = -epsilon, epsilon + 1.0
     u_append, height_append = us.append, heights.append
-    e = x0 ** neg_eps if x0 > 0.0 else 0.0
-    if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
-        u_append(x0)
-        height_append(y0)
-        cycles, y0 = cycles - 1, 0.0
-    for _ in range(cycles):
-        h0 = math.inf
-        if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
-            k = epsilon * e / x0
-            tail = 1.0 + e - y0
-            g = 0.0 - k * tail
-            gp = 1.0 + eps1 * (k / x0) * tail + k * k
-            # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
-            h0 = 0.0 - g
-        if h0 <= x0:
-            if x0 + h0 == x0:
-                raise NumericalFailureError(
-                    f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
-                    f"one ulp of x0: the bracket width {h0!r} does not move x0"
-                )
-            base, lo, hi, d = x0, 0.0, h0, 0.0
-        else:
-            base = 0.0
-            lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
-
-        ax, ay = abs(x0), abs(y0)  # the limit is _TOL * max(1.0, ax, ay), without a call
-        scale = ax if ax >= ay else ay
-        limit = _TOL * scale if scale > 1.0 else _TOL
-        steps = _MAX_NEWTON
-        while not abs(g) <= limit:
-            if g > 0.0:
-                hi = d
+    try:
+        e = x0 ** neg_eps if x0 > 0.0 else 0.0
+        if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
+            u_append(x0)
+            height_append(y0)
+            cycles, y0 = cycles - 1, 0.0
+        for _ in range(cycles):
+            h0 = math.inf
+            if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
+                k = epsilon * e / x0
+                tail = 1.0 + e - y0
+                g = 0.0 - k * tail
+                gp = 1.0 + eps1 * (k / x0) * tail + k * k
+                # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
+                h0 = 0.0 - g
+            if h0 <= x0:
+                if x0 + h0 == x0:
+                    raise NumericalFailureError(
+                        f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
+                        f"one ulp of x0: the bracket width {h0!r} does not move x0"
+                    )
+                base, lo, hi, d = x0, 0.0, h0, 0.0
             else:
-                lo = d
-            d_next = d - g / gp
-            if not (lo < d_next < hi):
-                d_next = 0.5 * (lo + hi)
-            d = d_next
+                base = 0.0
+                lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
+
+            ax, ay = abs(x0), abs(y0)  # the limit is _TOL * max(1.0, ax, ay), without a call
+            scale = ax if ax >= ay else ay
+            limit = _TOL * scale if scale > 1.0 else _TOL
+            steps = _MAX_NEWTON
+            while not abs(g) <= limit:
+                if g > 0.0:
+                    hi = d
+                else:
+                    lo = d
+                d_next = d - g / gp
+                if not (lo < d_next < hi):
+                    d_next = 0.5 * (lo + hi)
+                d = d_next
+                u = base + d
+                e = u ** neg_eps
+                k = epsilon * e / u
+                tail = 1.0 + e - y0
+                g = (d - (x0 - base)) - k * tail
+                gp = 1.0 + eps1 * (k / u) * tail + k * k
+                steps -= 1
+                if not steps:  # the residual after the last allowed step is not tested
+                    raise NumericalFailureError(
+                        f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), "
+                        f"epsilon={epsilon!r}"
+                    )
+
+            # One unguarded Newton step from the converged residual pushes the foot
+            # to machine precision; the two-set step-size chains are checked with
+            # 1e-12 slack downstream.
+            d -= g / gp
             u = base + d
             e = u ** neg_eps
-            k = epsilon * e / u
-            tail = 1.0 + e - y0
-            g = (d - (x0 - base)) - k * tail
-            gp = 1.0 + eps1 * (k / u) * tail + k * k
-            steps -= 1
-            if not steps:  # the residual after the last allowed step is not tested
-                raise NumericalFailureError(
-                    f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), "
-                    f"epsilon={epsilon!r}"
-                )
-
-        # One unguarded Newton step from the converged residual pushes the foot
-        # to machine precision; the two-set step-size chains are checked with
-        # 1e-12 slack downstream.
-        d -= g / gp
-        x0 = base + d
-        e = x0 ** neg_eps
-        u_append(x0)
-        height_append(1.0 + e)
-        y0 = 0.0
+            u_append(u)
+            height_append(1.0 + e)
+            x0, y0 = u, 0.0
+    except OverflowError:  # a power u**(-epsilon) past float range, at entry or in a solve
+        raise NumericalFailureError(
+            f"epigraph power overflowed projecting ({x0!r}, {y0!r}), epsilon={epsilon!r}"
+        ) from None
 
 
 def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
@@ -509,8 +505,11 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).
     """
     x0, y0 = x.x, x.y
-    if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
-        return ProjectionResult(x, 0.0, "closed_form")
+    try:
+        if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
+            return ProjectionResult(x, 0.0, "closed_form")
+    except OverflowError:  # the boundary is out of float range above x0, so x is outside
+        pass
     us, heights = [], []
     _epigraph_feet(epsilon, x0, y0, 1, us, heights)
     u, height = us[0], heights[0]

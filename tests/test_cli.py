@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import signal
 import time
 
@@ -20,6 +21,31 @@ from cycproj.verify import run_suite
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e8, 1e300, 1.7e308)
+
+
+def extreme_run_argv(rng: random.Random) -> list[str]:
+    """A ``run`` command line whose scenario parameter and start come from EXTREMES."""
+    def value():
+        return rng.choice(EXTREMES) * rng.choice((1.0, -1.0))
+
+    scenario = rng.choice(("plane-two-sets", "plane-two-sets", "two-lines", "twisted-chain",
+                           "tripod"))
+    if scenario == "tripod":
+        param = ["--k", str(rng.choice((3, 5)))]
+        coords = ",".join(f"{rng.randrange(4)}:{rng.choice(EXTREMES)!r}" for _ in range(2))
+    elif scenario == "twisted-chain":
+        param = ["--alpha", repr(rng.choice((0.0, 1.0, 1e300)))]
+        coords = ",".join(repr(value()) for _ in range(3))
+    else:
+        param = (["--epsilon", repr(rng.choice((0.01, 0.5, 2.0, 50.0)))]
+                 if scenario == "plane-two-sets"
+                 else ["--theta", repr(rng.choice((1e-300, 1.0, 3.0)))])
+        coords = f"{value()!r},{value()!r}"
+    return ["run", scenario, *param, f"--start-coords={coords}", "--n", "10",
+            "--format", "json"]
 
 
 def interrupt_the_first_run(args):
@@ -167,6 +193,23 @@ class TestRun:
         assert payload["trace"]["point_indices"] == [0]
         assert payload["trace"]["points"] == [[1e300, 0.0]]
         assert payload["trace"]["r"] == []
+
+    def test_extreme_inputs_exit_by_the_contract(self, tmp_path, capsys):
+        # 0 for a run, 2 for a usage error, 3 for a numerical failure with its flagged trace
+        rng = random.Random(0)
+        seen = set()
+        for i in range(200):
+            argv = extreme_run_argv(rng)
+            out = tmp_path / f"{i}.json"
+            code = run_cli(*argv, "--out", str(out))
+            assert code in (0, 2, 3), argv
+            if code != 2:
+                payload = json.loads(out.read_text())
+                assert payload["failed"] is (code == 3), argv
+                assert bool(payload.get("failure")) is (code == 3), argv
+            seen.add(code)
+        assert seen == {0, 2, 3}
+        capsys.readouterr()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CYCPROJ_OUT_DIR", str(tmp_path))
