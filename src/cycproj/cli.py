@@ -16,7 +16,6 @@ is ``CYCPROJ_OUT_DIR`` (default output directory).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -263,9 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     errors = sum(code != EXIT_OK for _, code in outcomes)
 
     out = _out_path(args, f"{args.scenario}-sweep-{args.param}.json")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(results, fh, sort_keys=True)
-        fh.write("\n")
+    traceio.write_json(results, out)
     print(f"sweep: {len(grid)} runs, {errors} failed, results in {out}")
     # a usage error outranks a numerical failure
     return EXIT_USAGE if EXIT_USAGE in codes else max(codes, default=EXIT_OK)

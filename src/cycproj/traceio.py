@@ -24,6 +24,7 @@ __all__ = [
     "read_trace_csv",
     "summary_dict",
     "write_trace_json",
+    "write_json",
 ]
 
 
@@ -93,19 +94,23 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
 def _array_json(arr) -> list | None:
     if arr is None:
         return None
-    return [_clean(float(v)) for v in arr]
+    return [None if v != v else v for v in arr.tolist()]  # NaN as null
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as one line of JSON with sorted keys, by the C encoder."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def write_trace_json(trace: Trace, summary: dict, path) -> None:
     payload = dict(summary)
     payload["trace"] = {
-        "point_indices": [int(i) for i in trace.point_indices],
+        "point_indices": trace.point_indices.tolist(),
         "points": [trace.space.to_coords(p) for p in trace.points],
         "r": _array_json(trace.r),
         "s": _array_json(trace.s),
         "a": _array_json(trace.a),
         "b": _array_json(trace.b),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
