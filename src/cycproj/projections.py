@@ -283,18 +283,6 @@ def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple:
     return found
 
 
-def _exact_piece_minimum(c_l: float, ds_l: float, c_r: float, ds_r: float, lo: float,
-                         hi: float) -> tuple[float, Fraction]:
-    """t in [lo, hi] minimizing (c_l + ds_l t)^2 + (c_r + ds_r t)^2, and the minimum, in
-    exact rationals: for a segment too short for its squares to be floats."""
-    c_l, ds_l, c_r, ds_r = map(Fraction, (c_l, ds_l, c_r, ds_r))
-    qa = ds_l * ds_l + ds_r * ds_r
-    t = (min(Fraction(hi), max(Fraction(lo), -(ds_l * c_l + ds_r * c_r) / qa)) if qa
-         else Fraction(lo))
-    v_l, v_r = c_l + ds_l * t, c_r + ds_r * t
-    return float(t), v_l * v_l + v_r * v_r
-
-
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
     """Exact projector onto any segment of a product of star trees.
 
@@ -326,8 +314,11 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
             t_piece = (t_piece if t_piece < hi else hi) if t_piece > lo else lo
             v_l, v_r = c_l + ds_l * t_piece, c_r + ds_r * t_piece
             v = v_l * v_l + v_r * v_r
-        else:  # qa underflows to 0.0 when every |ds| is below about 1e-162
-            t_piece, v = _exact_piece_minimum(c_l, ds_l, c_r, ds_r, lo, hi)
+        else:  # qa underflows to 0.0 when every |ds| is below about 1e-162: use rationals
+            f_l, f_r, e_l, e_r = map(Fraction, (c_l, c_r, ds_l, ds_r))
+            q = e_l * e_l + e_r * e_r
+            t_piece = Fraction(min(hi, max(lo, -(e_l * f_l + e_r * f_r) / q)) if q else lo)
+            v = (f_l + e_l * t_piece) ** 2 + (f_r + e_r * t_piece) ** 2
         if v < best_v:
             best_v, t = v, t_piece
     if t == 0.0 or t == 1.0:  # s0 + ds * 1.0 = a + (b - a) can round off the end b
@@ -380,7 +371,6 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...
     """[lo, hi] with g(lo) <= 0 <= g(hi) from u = 1, then its midpoint d and g, g' there."""
     g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, 1.0)
     doubling = g < 0.0  # the root lies above u = 1; halve u while it lies below
-    factor = 2.0 if doubling else 0.5
     prev = u = 1.0
     steps = 0
     while not (g >= 0.0 if doubling else g <= 0.0):  # a g(1) of 0 skips the search
@@ -391,7 +381,7 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...
                 f"{'doublings' if doubling else 'halvings'}"
             )
         steps += 1
-        prev, u = u, u * factor
+        prev, u = u, (u * 2.0 if doubling else u * 0.5)
         g, _ = _epigraph_stationarity(epsilon, x0, y0, 0.0, u)
     lo, hi = (prev, u) if doubling else (u, prev)
     d = 0.5 * (lo + hi)
@@ -406,8 +396,8 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
     ``us`` and ``heights`` and drops it onto the axis at (u, 0.0).
     u**(-epsilon) is carried from each height to the next cycle, and g and g'
     are evaluated inline by the expressions of :func:`_epigraph_stationarity`.
-    A failure raises :class:`NumericalFailureError`; the feet solved before it
-    stay in the lists.
+    A failure, a power u**(-epsilon) past float range included, raises
+    :class:`NumericalFailureError`; the feet solved before it stay in the lists.
     """
     neg_eps, eps1 = -epsilon, epsilon + 1.0
     u_append, height_append = us.append, heights.append
@@ -502,7 +492,8 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     across many decades; the root is instead bracketed by geometric
     expansion from u = 1 and solved for u itself.  Both brackets feed one
     safeguarded Newton loop that bisects whenever a step leaves the bracket
-    and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).
+    and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).  A power
+    u**(-epsilon) past float range raises :class:`NumericalFailureError`.
     """
     x0, y0 = x.x, x.y
     try:

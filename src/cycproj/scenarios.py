@@ -65,7 +65,7 @@ class Scenario:
         return self.starts[self.default_start if label is None else label]
 
 
-def _anti_diagonal_segment(space: ProductSpace, left_leg: int, right_leg: int) -> Segment:
+def _anti_diagonal_segment(left_leg: int, right_leg: int) -> Segment:
     """Slope -1 segment of length 1 centered at offset 1/2 on both factors."""
     d = HALF_WIDTH
     lo, hi = 0.5 - d, 0.5 + d
@@ -87,9 +87,9 @@ def build_tripod_counterexample(k: int = 3) -> Scenario:
     if k < 3:
         raise ValueError(f"the construction needs k >= 3 sets, got {k!r}")
     space = ProductSpace(StarTree.unit(3), StarTree.unit(3))
-    c1 = _anti_diagonal_segment(space, 0, 0)
-    c2 = _anti_diagonal_segment(space, 1, 1)
-    c3 = _anti_diagonal_segment(space, 2, 2)
+    c1 = _anti_diagonal_segment(0, 0)
+    c2 = _anti_diagonal_segment(1, 1)
+    c3 = _anti_diagonal_segment(2, 2)
     sets = (c1, c2, c3) + (c3,) * (k - 3)
     d = HALF_WIDTH
     starts = {

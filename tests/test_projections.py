@@ -521,6 +521,8 @@ class TestCrossingSegments:
         res = project_segment_tree_exact(space, seg, x)
         assert res.distance == pytest.approx(math.hypot(0.3, 0.7), abs=1e-15)
         assert set_distance(space, seg, Segment(x, x)) == pytest.approx(res.distance, abs=1e-15)
+        for end in (seg.start, seg.end):  # found exactly, where every square underflows
+            assert project_segment_tree_exact(space, seg, end).point == end
 
     @pytest.mark.parametrize("short_leg, start", [
         # -0.1 + (0.1 + 0.3) rounds past the short leg's end, 0.3
