@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .spaces import (
     ChainPoint,
@@ -315,6 +314,7 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
             v_l, v_r = c_l + ds_l * t_piece, c_r + ds_r * t_piece
             v = v_l * v_l + v_r * v_r
         else:  # qa underflows to 0.0 when every |ds| is below about 1e-162: use rationals
+            from fractions import Fraction  # imported here: start-up never needs it
             f_l, f_r, e_l, e_r = map(Fraction, (c_l, c_r, ds_l, ds_r))
             q = e_l * e_l + e_r * e_r
             t_piece = Fraction(min(hi, max(lo, -(e_l * f_l + e_r * f_r) / q)) if q else lo)
