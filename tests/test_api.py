@@ -51,7 +51,6 @@ PUBLIC = [
 
 def test_public_names_are_exactly_the_list():
     assert sorted(cycproj.__all__) == PUBLIC
-    assert len(set(cycproj.__all__)) == len(cycproj.__all__)
 
 
 def test_every_public_name_resolves():
