@@ -90,10 +90,18 @@ class Epigraph:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     def boundary_height(self, x: float) -> float:
-        return 1.0 + x ** (-self.epsilon)
+        return _boundary_height(self.epsilon, x)
 
     def contains(self, p: PlanePoint) -> bool:
         return p.x > 0.0 and p.y >= self.boundary_height(p.x)
+
+
+def _boundary_height(epsilon: float, x: float) -> float:
+    """1 + x**(-epsilon), or +inf where the power overflows."""
+    try:
+        return 1.0 + x ** (-epsilon)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -496,11 +504,8 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     u**(-epsilon) past float range raises :class:`NumericalFailureError`.
     """
     x0, y0 = x.x, x.y
-    try:
-        if x0 > 0.0 and y0 >= 1.0 + x0 ** (-epsilon):
-            return ProjectionResult(x, 0.0, "closed_form")
-    except OverflowError:  # the boundary is out of float range above x0, so x is outside
-        pass
+    if x0 > 0.0 and y0 >= _boundary_height(epsilon, x0):
+        return ProjectionResult(x, 0.0, "closed_form")
     us, heights = [], []
     _epigraph_feet(epsilon, x0, y0, 1, us, heights)
     u, height = us[0], heights[0]

@@ -92,9 +92,10 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
 
 
 def _array_json(arr) -> list | None:
+    """The array as a list of floats, with null for NaN."""
     if arr is None:
         return None
-    return [_clean(float(v)) for v in arr]
+    return [None if v != v else v for v in arr.tolist()]
 
 
 def write_json(obj, path) -> None:

@@ -12,9 +12,10 @@ Suites:
   in-set samples, the obtuse-angle condition at the foot, and agreement
   of the exact and generic segment projectors.
 * ``two-set`` -- the interleaved step-size inequalities on the two-set
-  scenarios.
-* ``counterexamples`` -- the isometry/orientation certificates of the
-  tripod configuration and the rotation certificates of the twisted chain.
+  scenarios; the two lines contract by 1/2 and end Regular.
+* ``counterexamples`` -- the tripod's isometry, orientation, end-swap and
+  involution certificates; the twisted chain's rotation, power-step and
+  NotRegular-power certificates.
 
 Each check seeds its own ``numpy.random.Generator`` and draws its samples in
 a fixed order.  Scalar uniforms come from ``_uniform``, which is bitwise
@@ -41,7 +42,8 @@ from functools import partial
 
 import numpy as np
 
-from .engine import CHAIN_SLACK, ENERGY_SLACK, SUM_SLACK, cycle_apply, iterate, two_set_diagnostics
+from .engine import (CHAIN_SLACK, ENERGY_SLACK, SUM_SLACK, cycle_apply, iterate,
+                     two_set_diagnostics, verdict)
 from .projections import (
     AxisLine,
     CrossDisc,
@@ -418,6 +420,9 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
     worst_ratio = float(np.max(np.abs(ratios - 0.5)))
     checks.append(CheckResult("two-lines-geometric-ratio", worst_ratio <= 1e-9,
                               worst_ratio, 1e-9, detail="|r_{n+1}/r_n - 1/2|"))
+    regular = verdict(trace).classification == "Regular"
+    checks.append(CheckResult("two-lines-regular", regular, 0.0 if regular else 1.0, 0.0,
+                              detail="1 if the verdict is not Regular"))
     return checks
 
 
@@ -456,14 +461,22 @@ def tripod_certificates() -> list[CheckResult]:
     checks.append(CheckResult("tripod-orientation-reversal", worst_slope <= 1e-9,
                               worst_slope, 1e-9, detail="parameter slope vs -1"))
 
+    def cycle(x):
+        return cycle_apply(space, scenario.sets, x)[0]
+
+    # The full cycle swaps the ends of the first segment, so r_n = 1 forever.
+    mid = space.geodesic(c1.start, c1.end, 0.5)
+    worst_swap = max(space.distance(cycle(c1.start), c1.end),
+                     space.distance(cycle(c1.end), c1.start),
+                     space.distance(cycle(mid), mid))
+    checks.append(CheckResult("tripod-cycle-swaps-ends", worst_swap <= 1e-9,
+                              worst_swap, 1e-9, detail="P swaps the ends and fixes the midpoint"))
+
     # The full cycle is an involution on the first segment.
     worst_invol = 0.0
     for t in np.linspace(0.0, 1.0, 20):
         x = space.geodesic(c1.start, c1.end, float(t))
-        y = x
-        for _ in range(2):
-            y, _ = cycle_apply(space, scenario.sets, y)
-        worst_invol = max(worst_invol, space.distance(x, y))
+        worst_invol = max(worst_invol, space.distance(x, cycle(cycle(x))))
     checks.append(CheckResult("tripod-cycle-involution", worst_invol <= 1e-9,
                               worst_invol, 1e-9, detail="P(P(x)) = x on the first segment"))
 
@@ -496,15 +509,20 @@ def chain_certificates() -> list[CheckResult]:
                               detail="one cycle = rotation by alpha on the bottom disc"))
 
     worst_step = 0.0
+    not_stalled = 0
     start = scenario.start("boundary")
     for m in range(1, _CHAIN_POWERS + 1):
         sets_m = scenario.sets * m
         trace = iterate(chain, sets_m, start, 40)
         target = 2.0 * chain.radius * abs(math.sin(m * alpha / 2.0))
         worst_step = max(worst_step, float(np.max(np.abs(trace.r - target))))
+        not_stalled += verdict(trace).classification != "NotRegular"
     checks.append(CheckResult("chain-power-steps", worst_step <= 1e-9,
                               worst_step, 1e-9,
                               detail="P^m steps vs 2 r |sin(m alpha / 2)|, m <= 20"))
+    checks.append(CheckResult("chain-power-not-regular", not_stalled == 0,
+                              float(not_stalled), 0.0,
+                              detail="powers P^m, m <= 20, whose verdict is not NotRegular"))
     return checks
 
 

@@ -38,7 +38,7 @@ def seed0_suites():
 
     Run once per session, in ``SUITES`` order, so the concatenated results are
     ``run_suite("all", 0)``: the golden ``verify-seed0`` digests read them, and
-    criteria 6 and 7 read their own suite's results and time.
+    criteria 2 and 5 to 8 read their own suite's results and time.
     """
     runs = {}
     for name, suite in SUITES.items():

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per numbered criterion, one printed line each.
 
 Long runs (a million cycles per epsilon) are computed once per session in
-the ``long_two_set_runs`` fixture and shared across criteria 3 and 4; the
-seed-0 verify suites of criteria 6 and 7 come from the ``seed0_suites``
-fixture, which the golden digests share.
+the ``long_two_set_runs`` fixture and shared across criteria 3 and 4.
+Criteria 2, 5, 6, 7 and 8 report the seed-0 verify results of the
+``seed0_suites`` fixture, which the golden digests share: ``cycproj.verify``
+is the one definition of the tripod, chain and two-lines certificates.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they happen.
@@ -15,14 +16,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cycproj import (
-    build_plane_two_lines,
     build_tripod_counterexample,
     build_twisted_chain,
     iterate,
-    project,
     project_segment_generic,
     rate_fit,
     two_set_diagnostics,
@@ -37,6 +35,18 @@ def report(num: int, clauses: list[tuple[str, bool]]) -> None:
     print(f"[criterion {num}] {status} ({len(clauses) - len(failed)}/{len(clauses)} clauses)"
           f"{detail}")
     assert not failed, f"criterion {num} failed clauses: {failed}"
+
+
+def suite_clauses(results, prefix: str = "") -> list[tuple[str, bool]]:
+    """One clause per verify result whose name starts with ``prefix``."""
+    return [(r.line(), r.passed) for r in results if r.name.startswith(prefix)]
+
+
+def report_suite(num: int, run, limit: float, prefix: str = "") -> None:
+    """Report a seed-0 suite's results named ``prefix*`` and its runtime against ``limit`` s."""
+    results, elapsed = run
+    report(num, [*suite_clauses(results, prefix),
+                 (f"runtime {elapsed:.2f}s < {limit:g}s", elapsed < limit)])
 
 
 def test_criterion_1_tripod_steps_stay_one():
@@ -62,48 +72,8 @@ def test_criterion_1_tripod_steps_stay_one():
     ])
 
 
-def test_criterion_2_tripod_structure():
-    scenario = build_tripod_counterexample(3)
-    space = scenario.space
-    c1, c2, c3 = scenario.sets[:3]
-    t0 = time.perf_counter()
-
-    worst_iso = 0.0
-    worst_slope = 0.0
-    for source, target in ((c2, c1), (c3, c2), (c1, c3)):
-        ts = np.linspace(0.0, 1.0, 21)  # 20 sampled pairs
-        points = [space.geodesic(source.start, source.end, float(t)) for t in ts]
-        feet = [project(space, target, p).point for p in points]
-        params = [space.distance(target.start, f) for f in feet]
-        for i in range(20):
-            worst_iso = max(worst_iso, abs(space.distance(feet[i], feet[i + 1])
-                                           - space.distance(points[i], points[i + 1])))
-            slope = (params[i + 1] - params[i]) / float(ts[i + 1] - ts[i])
-            worst_slope = max(worst_slope, abs(slope + 1.0))
-
-    def cycle(x):
-        for cset in reversed(scenario.sets):
-            x = project(space, cset, x).point
-        return x
-
-    e1, e2 = c1.start, c1.end
-    swap_err = max(space.distance(cycle(e1), e2), space.distance(cycle(e2), e1))
-    mid = space.geodesic(c1.start, c1.end, 0.5)
-    mid_err = space.distance(cycle(mid), mid)
-    worst_invol = 0.0
-    for t in np.linspace(0.0, 1.0, 20):
-        x = space.geodesic(c1.start, c1.end, float(t))
-        worst_invol = max(worst_invol, space.distance(cycle(cycle(x)), x))
-    elapsed = time.perf_counter() - t0
-
-    report(2, [
-        (f"inter-segment isometry error {worst_iso:.2e} <= 1e-9", worst_iso <= 1e-9),
-        (f"orientation-reversal slope error {worst_slope:.2e} <= 1e-9", worst_slope <= 1e-9),
-        (f"cycle swaps endpoints (err {swap_err:.2e} <= 1e-9)", swap_err <= 1e-9),
-        (f"cycle fixes midpoint (err {mid_err:.2e} <= 1e-9)", mid_err <= 1e-9),
-        (f"cycle squared is identity (err {worst_invol:.2e} <= 1e-9)", worst_invol <= 1e-9),
-        (f"runtime {elapsed:.2f}s < 1s", elapsed < 1.0),
-    ])
+def test_criterion_2_tripod_structure(seed0_suites):
+    report_suite(2, seed0_suites["counterexamples"], 1.0, "tripod-")
 
 
 def test_criterion_3_two_set_million_cycle_inequalities(long_two_set_runs):
@@ -147,63 +117,30 @@ def test_criterion_4_rate_exponents(long_two_set_runs):
     report(4, clauses)
 
 
-def test_criterion_5_twisted_chain_powers():
+def test_criterion_5_twisted_chain_powers(seed0_suites):
     scenario = build_twisted_chain(alpha=1.0, radius=0.1, circumference=3.0)
-    chain = scenario.space
-    start = scenario.start("boundary")
     t0 = time.perf_counter()
-
-    trace = iterate(chain, scenario.sets, start, 10**4)
+    trace = iterate(scenario.space, scenario.sets, scenario.start("boundary"), 10**4)
+    elapsed = time.perf_counter() - t0
     base_err = float(np.abs(trace.r - 0.2 * math.sin(0.5)).max())
     base_verdict = verdict(trace).classification
-
-    worst_power_err = 0.0
-    all_not_regular = True
-    for m in range(1, 21):
-        trace_m = iterate(chain, scenario.sets * m, start, 50)
-        target = 0.2 * abs(math.sin(m / 2.0))
-        worst_power_err = max(worst_power_err, float(np.abs(trace_m.r - target).max()))
-        if verdict(trace_m).classification != "NotRegular":
-            all_not_regular = False
-    elapsed = time.perf_counter() - t0
-
+    results, _ = seed0_suites["counterexamples"]
     report(5, [
         (f"base steps |r - 0.2 sin(1/2)| = {base_err:.2e} <= 1e-9 over 1e4 cycles",
          base_err <= 1e-9),
         (f"base verdict {base_verdict} = NotRegular", base_verdict == "NotRegular"),
-        (f"power steps |r - 0.2 |sin(m/2)|| = {worst_power_err:.2e} <= 1e-9, m <= 20",
-         worst_power_err <= 1e-9),
-        ("every power verdict NotRegular", all_not_regular),
+        *suite_clauses(results, "chain-"),
         (f"runtime {elapsed:.2f}s < 5s", elapsed < 5.0),
     ])
 
 
 def test_criterion_6_projection_property_suite(seed0_suites):
-    results, elapsed = seed0_suites["projections"]
-    clauses = [(r.line(), r.passed) for r in results]
-    clauses.append((f"runtime {elapsed:.1f}s < 60s", elapsed < 60.0))
-    report(6, clauses)
+    report_suite(6, seed0_suites["projections"], 60.0)
 
 
 def test_criterion_7_metric_suite(seed0_suites):
-    results, elapsed = seed0_suites["metric"]
-    clauses = [(r.line(), r.passed) for r in results]
-    clauses.append((f"runtime {elapsed:.1f}s < 30s", elapsed < 30.0))
-    report(7, clauses)
+    report_suite(7, seed0_suites["metric"], 30.0)
 
 
-def test_criterion_8_two_lines_sanity():
-    scenario = build_plane_two_lines(math.pi / 4.0)
-    t0 = time.perf_counter()
-    trace = iterate(scenario.space, scenario.sets, scenario.start(), 200)
-    elapsed = time.perf_counter() - t0
-    positive = trace.r > 1e-300  # past underflow the ratio is noise
-    ratios = trace.r[1:][positive[1:] & positive[:-1]] / trace.r[:-1][positive[1:] & positive[:-1]]
-    ratio_err = float(np.abs(ratios - 0.5).max())
-    v = verdict(trace)
-    report(8, [
-        (f"|r_{{n+1}}/r_n - 1/2| = {ratio_err:.2e} <= 1e-9", ratio_err <= 1e-9),
-        (f"verdict {v.classification} = Regular within 200 cycles",
-         v.classification == "Regular"),
-        (f"runtime {elapsed:.2f}s < 1s", elapsed < 1.0),
-    ])
+def test_criterion_8_two_lines_sanity(seed0_suites):
+    report_suite(8, seed0_suites["two-set"], 1.0, "two-lines-")

@@ -354,12 +354,15 @@ class TestVerify:
             "two-set-energy-sum": 1e-9,
             "two-lines-chains": 1e-12,
             "two-lines-geometric-ratio": 1e-9,
+            "two-lines-regular": 0.0,
             "tripod-projection-isometry": 1e-9,
             "tripod-orientation-reversal": 1e-9,
+            "tripod-cycle-swaps-ends": 1e-9,
             "tripod-cycle-involution": 1e-9,
             "tripod-pairwise-distance": 1e-6,
             "chain-cycle-rotation": 1e-12,
             "chain-power-steps": 1e-9,
+            "chain-power-not-regular": 0.0,
         }
 
     def test_unknown_suite(self, capsys):

@@ -83,12 +83,6 @@ class TestIterate:
         assert trace.r[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert np.abs(trace.r[1:]).max() <= 1e-15
 
-    def test_two_lines_ratio(self):
-        scenario = build_plane_two_lines(math.pi / 4.0)
-        trace = iterate(scenario.space, scenario.sets, scenario.start(), 50)
-        ratios = trace.r[1:] / trace.r[:-1]
-        assert np.abs(ratios - 0.5).max() <= 1e-9
-
     def test_deterministic(self, tripod):
         a = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 50)
         b = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 50)

@@ -135,6 +135,9 @@ class TestEpigraph:
         assert res.point == PlanePoint(2.0, 10.0)
         assert res.distance == 0.0
         assert res.solver == "closed_form"
+        # a boundary power past float range is a boundary at +inf: the point is outside
+        assert Epigraph(2.0).boundary_height(1e-300) == math.inf
+        assert not Epigraph(2.0).contains(PlanePoint(1e-300, 0.0))
 
     @pytest.mark.parametrize("x0, y0", [(1.0, 0.0), (-5.0, 0.0)])
     def test_boundary_solve_against_dense_oracle(self, x0, y0):

@@ -16,12 +16,11 @@ from cycproj import (
     build_scenario,
     build_tripod_counterexample,
     build_twisted_chain,
+    cycle_apply,
     iterate,
     project,
     set_distance,
 )
-
-DELTA = math.sqrt(2.0) / 4.0
 
 
 class TestTripodBuilder:
@@ -50,34 +49,6 @@ class TestTripodBuilder:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             build_tripod_counterexample(2)
-
-    def test_projections_between_segments_are_isometries(self):
-        scenario = build_tripod_counterexample(3)
-        space = scenario.space
-        c1, c2, c3 = scenario.sets[:3]
-        for source, target in ((c2, c1), (c3, c2), (c1, c3)):
-            ts = np.linspace(0.0, 1.0, 50)
-            feet = [project(space, target, space.geodesic(source.start, source.end, float(t))).point
-                    for t in ts]
-            params = [space.distance(target.start, f) for f in feet]
-            for i in range(len(ts) - 1):
-                x = space.geodesic(source.start, source.end, float(ts[i]))
-                y = space.geodesic(source.start, source.end, float(ts[i + 1]))
-                assert abs(space.distance(feet[i], feet[i + 1]) - space.distance(x, y)) <= 1e-9
-                slope = (params[i + 1] - params[i]) / float(ts[i + 1] - ts[i])
-                assert slope == pytest.approx(-1.0, abs=1e-9)
-
-    def test_double_cycle_is_identity_on_first_segment(self):
-        scenario = build_tripod_counterexample(3)
-        space = scenario.space
-        c1 = scenario.sets[0]
-        for t in np.linspace(0.0, 1.0, 20):
-            x = space.geodesic(c1.start, c1.end, float(t))
-            y = x
-            for _ in range(2):
-                for cset in reversed(scenario.sets):
-                    y = project(space, cset, y).point
-            assert space.distance(x, y) <= 1e-9
 
 
 class TestPlaneTwoSetsBuilder:
@@ -110,9 +81,7 @@ class TestTwistedChainBuilder:
             rad = 0.1 * math.sqrt(float(rng.uniform(0, 1)))
             ang = float(rng.uniform(0, 2 * math.pi))
             x = ChainPoint(rad * math.cos(ang), rad * math.sin(ang), 0.0)
-            y = x
-            for cset in reversed(scenario.sets):
-                y = project(chain, cset, y).point
+            y, _ = cycle_apply(chain, scenario.sets, x)
             assert y.height == 0.0
             assert y.u == pytest.approx(math.cos(1.0) * x.u - math.sin(1.0) * x.v, abs=1e-12)
             assert y.v == pytest.approx(math.sin(1.0) * x.u + math.cos(1.0) * x.v, abs=1e-12)
@@ -146,8 +115,7 @@ class TestTwistedChainBuilder:
         x = ChainPoint(0.1, 0.0, 0.0)
         y = x
         for _ in range(4):
-            for cset in reversed(scenario.sets):
-                y = project(chain, cset, y).point
+            y, _ = cycle_apply(chain, scenario.sets, y)
         assert math.hypot(y.u - x.u, y.v - x.v) <= 1e-12
         # a rational twist still never settles
         trace = iterate(chain, scenario.sets, scenario.start("boundary"), 100)

@@ -33,6 +33,12 @@ def numpy_uniform(rng, lo, hi):
     return float(rng.uniform(lo, hi))
 
 
+def reduce_samples(monkeypatch):
+    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
+    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+
+
 # Reference samplers: each draw through ``Generator.uniform``, in the order
 # the verify samplers make them.
 
@@ -111,9 +117,7 @@ def test_sampler_draws_numpy_uniform_in_order(shipped, reference):
 
 @pytest.mark.parametrize("suite", [verify.suite_metric, verify.suite_projections])
 def test_suite_results_equal_with_numpy_uniform(monkeypatch, suite):
-    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+    reduce_samples(monkeypatch)
     shipped = suite(3)
     monkeypatch.setattr(verify, "_uniform", numpy_uniform)
     reference = suite(3)
@@ -150,21 +154,33 @@ UNIFORM_WORST = {
     "chain-representative-independence": "8.881784197001252e-16",
     "chain-cycle-rotation": "0.0",
     "chain-power-steps": "2.9976021664879227e-15",
+    "chain-power-not-regular": "0.0",
 }
 
 
 def test_worst_values_equal_the_uniform_draws(monkeypatch):
-    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+    reduce_samples(monkeypatch)
     results = verify.suite_metric(3) + verify.suite_projections(3) + verify.chain_certificates()
     assert {r.name: repr(r.worst) for r in results} == UNIFORM_WORST
 
 
-def reduce_samples(monkeypatch):
-    monkeypatch.setattr(verify, "_METRIC_SAMPLES", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_PAIRS", 300)
-    monkeypatch.setattr(verify, "_PROJECTION_INPUTS", 200)
+def test_in_process_suites_make_the_pinned_iterate_calls(monkeypatch):
+    # the benchmark's cycles_per_s counts these calls' cycles: a call more or
+    # fewer would move it with no change in speed
+    counted = []
+    iterate = verify.iterate
+
+    def counting_iterate(*args, **kwargs):
+        trace = iterate(*args, **kwargs)
+        counted.append(trace.completed)
+        return trace
+
+    monkeypatch.setattr(verify, "iterate", counting_iterate)
+    for seed in (0, 12345):
+        counted.clear()
+        for name in ("two-set", "counterexamples"):
+            verify.run_suite(name, seed)
+        assert (len(counted), sum(counted)) == (22, 10_850)
 
 
 def field_reprs(results):
