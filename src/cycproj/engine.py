@@ -11,10 +11,11 @@ one full cycle apart (never from intermediates), and for k = 2 the
 auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
 
 ``iterate`` picks its loop from the types of its inputs.  A ``Plane`` with
-the sets ``(AxisLine(), Epigraph(eps))`` runs a float kernel: x_n stays on
-the axis, one call to the epigraph solver gives the feet of a block of
-cycles, the kernel fills the trace's columns for the whole block at once,
-and points are built only where the trace stores them.  Its output is
+the sets ``(AxisLine(), Epigraph(eps))`` runs cycle 0 through the generic
+loop and cycles 1..n on a float kernel: x_n stays on the axis from n = 1
+on, one call to the epigraph solver gives the feet of a block of cycles,
+the kernel fills the trace's columns for the whole block at once, and
+points are built only where the trace stores them.  Its output is
 bitwise the generic loop's: r and a are distances along one axis, where
 ``math.hypot`` is exactly ``abs``, so they are numpy ``abs`` columns, while
 b and s keep ``math.hypot`` per cycle, since ``np.hypot`` can differ from
@@ -215,67 +216,59 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
                           point_indices, points):
     """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
-    A cycle projects x onto the epigraph, giving the foot y = (u, height),
-    and y onto the axis, giving (u, 0).  :func:`_epigraph_feet` solves the
-    feet ``_BLOCK`` cycles per call, and each column is then written for the
-    block in one slice.  Past the first cycle x lies on the axis, so
+    Cycle 0, whose start may lie anywhere in the plane, runs through
+    :func:`_generic_cycles`, which validates the start.  From cycle 1 on x
+    lies on the axis: a cycle projects x = (x_x, 0) onto the epigraph, giving
+    the foot y = (u, height), and y onto the axis, giving (u, 0).  The
+    previous foot is (x_1.x, a_1), since a_1 = d(x_1, y_1) is its height.
+    :func:`_epigraph_feet` solves the feet ``_BLOCK`` cycles per call, and
+    each column is then written for the block in one slice.
     ``Plane.distance``'s ``hypot(x_x - u, 0.0)`` for r and
     ``hypot(0.0, -height)`` for a are exactly ``abs(x_x - u)`` and
     ``abs(height)``; they are taken as numpy ``abs`` over the block.  b and s
     keep ``math.hypot`` on the same operands, mapped over the block, because
     ``np.hypot`` differs from it in the last bit for a few pairs in a
-    thousand.  The first cycle, which may start off the
-    axis, has r and b by ``math.hypot`` and no s.  So the trace is bitwise
-    the generic loop's.  Points are built only where the trace stores them;
-    ``start`` is validated once, here, and epsilon by the ``Epigraph``
-    constructor.
+    thousand.  So the trace is bitwise the generic loop's.  Points are built
+    only where the trace stores them.
     """
-    epsilon = sets[1].epsilon
-    space._check(start)
-    hypot = math.hypot
+    completed, x, failure = _generic_cycles(space, sets, start, stride, r[:1], s_arr[:1],
+                                            a_arr[:2], b_arr[:1], point_indices, points)
     n = len(r)
-    x_x, x_y = start.x, start.y
-    y_y = 0.0  # the previous foot is (x_x, y_y); the first cycle has none
-    i = 0
+    if failure is not None or n == 1:
+        return completed, x, failure
+    epsilon = sets[1].epsilon
+    hypot = math.hypot
+    x_x, y_y = x.x, a_arr[1]  # the previous foot is (x_x, y_y)
+    i = 1
     while i < n:
         us, heights = [], []
         failure = None
         try:
-            _epigraph_feet(epsilon, x_x, x_y, min(_BLOCK, n - i), us, heights)
+            _epigraph_feet(epsilon, x_x, 0.0, min(_BLOCK, n - i), us, heights)
         except NumericalFailureError as exc:
             failure = str(exc)
-        finally:
-            if m := len(us):
-                u, height = np.array([x_x, *us]), np.array([y_y, *heights])
-                finite = np.isfinite(u[1:]) & np.isfinite(height[1:])
-                if not finite.all():
-                    # the first non-finite foot raises here before any later cycle's error
-                    j = int(finite.argmin())
-                    PlanePoint(us[j], heights[j])  # the error the generic loop raises
-                du = u[:-1] - u[1:]
-                np.abs(du, out=r[i:i + m])  # d(x, x_next) = hypot(x_x - u, 0.0)
-                np.abs(height[1:], out=a_arr[i + 1:i + m + 1])  # d(x_next, y) = hypot(0.0, -height)
-                du, dh = du.tolist(), (height[:-1] - height[1:]).tolist()
-                b_arr[i:i + m] = list(map(hypot, du, heights))  # d(y, x)
-                s_arr[i:i + m] = list(map(hypot, du, dh))  # d(y_prev, y)
-                if i == 0:  # x may start off the axis, and there is no y_prev
-                    r[0] = hypot(x_x - us[0], x_y - 0.0)
-                    b_arr[0] = hypot(us[0] - x_x, heights[0] - x_y)
-                    s_arr[0] = np.nan
-                if stride == 1:
-                    point_indices.extend(range(i + 1, i + m + 1))
-                    points.extend(map(PlanePoint, us, repeat(0.0, m)))
-                else:  # the block's cycles k with k % stride <= 1, then cycle n
-                    kept = [k for j in range(i + 1 - (i + 1) % stride, i + m + 1, stride)
-                            for k in (j, j + 1) if i < k <= i + m]
-                    if i + m == n and n % stride > 1:
-                        kept.append(n)
-                    point_indices += kept
-                    points += [PlanePoint(us[k - i - 1], 0.0) for k in kept]
-                i += m
-                x_x, x_y, y_y = us[-1], 0.0, heights[-1]
+        if m := len(us):
+            u, height = np.array([x_x, *us]), np.array([y_y, *heights])
+            du = u[:-1] - u[1:]
+            np.abs(du, out=r[i:i + m])  # d(x, x_next) = hypot(x_x - u, 0.0)
+            np.abs(height[1:], out=a_arr[i + 1:i + m + 1])  # d(x_next, y) = hypot(0.0, -height)
+            du, dh = du.tolist(), (height[:-1] - height[1:]).tolist()
+            b_arr[i:i + m] = list(map(hypot, du, heights))  # d(y, x)
+            s_arr[i:i + m] = list(map(hypot, du, dh))  # d(y_prev, y)
+            if stride == 1:
+                point_indices.extend(range(i + 1, i + m + 1))
+                points.extend(map(PlanePoint, us, repeat(0.0, m)))
+            else:  # the block's cycles k with k % stride <= 1, then cycle n
+                kept = [k for j in range(i + 1 - (i + 1) % stride, i + m + 1, stride)
+                        for k in (j, j + 1) if i < k <= i + m]
+                if i + m == n and n % stride > 1:
+                    kept.append(n)
+                point_indices += kept
+                points += [PlanePoint(us[k - i - 1], 0.0) for k in kept]
+            i += m
+            x_x, y_y = us[-1], heights[-1]
         if failure is not None:
-            return i, PlanePoint(x_x, x_y), failure
+            return i, PlanePoint(x_x, 0.0), failure
     return n, None, None
 
 
@@ -420,7 +413,6 @@ class RegularityVerdict:
     classification: str  # "Regular" | "NotRegular" | "Inconclusive"
     final_r: float
     liminf_r: float
-    rate_slope: float | None = None
 
 
 _R_TOL = 1e-6
@@ -448,12 +440,6 @@ def verdict(trace: Trace) -> RegularityVerdict:
     tail_max = float(np.max(tail))
     final_r = float(rs[-1])
 
-    slope: float | None = None
-    if len(tail) >= 10 and tail_min > 0.0:
-        first_idx = trace.completed - len(tail)
-        idx = np.arange(first_idx, trace.completed, dtype=float)
-        slope = float(np.polyfit(np.log(idx), np.log(tail), 1)[0])
-
     non_increasing = bool(np.all(np.diff(tail) <= _MONO_SLACK)) if len(tail) >= 2 else True
     if final_r < _R_TOL and non_increasing:
         cls = "Regular"
@@ -461,4 +447,13 @@ def verdict(trace: Trace) -> RegularityVerdict:
         cls = "NotRegular"
     else:
         cls = "Inconclusive"
-    return RegularityVerdict(cls, final_r, tail_min, slope)
+    return RegularityVerdict(cls, final_r, tail_min)
+
+
+def _tail_slope(trace: Trace) -> float | None:
+    """:func:`rate_fit`'s slope over the tail :func:`verdict` inspects, or None
+    unless that tail holds at least 10 steps, all positive."""
+    lo = trace.completed - math.ceil(_TAIL_FRACTION * (trace.completed - 1))
+    if trace.completed - lo < 10 or not trace.r[lo:].min() > 0.0:
+        return None
+    return rate_fit(trace, (lo, trace.completed - 1)).slope

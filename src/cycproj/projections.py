@@ -400,21 +400,20 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
                    us: list, heights: list) -> None:
     """Run ``cycles`` cycles of the axis-epigraph iteration from (x0, y0) on floats.
 
-    Each cycle appends the epigraph foot (u, height) of the current point to
-    ``us`` and ``heights`` and drops it onto the axis at (u, 0.0).
-    u**(-epsilon) is carried from each height to the next cycle, and g and g'
-    are evaluated inline by the expressions of :func:`_epigraph_stationarity`.
-    A failure, a power u**(-epsilon) past float range included, raises
-    :class:`NumericalFailureError`; the feet solved before it stay in the lists.
+    Each cycle appends the epigraph foot (u, height) of the current point, which
+    lies outside the set, to ``us`` and ``heights`` and drops it onto the axis at
+    (u, 0.0), as the two-set kernel's cycles 1..n do.  u**(-epsilon) is carried
+    from each height to the next, and g and g' are evaluated inline as in
+    :func:`_epigraph_stationarity`.  A failure, a power past float range in a solve
+    included, raises :class:`NumericalFailureError`; earlier feet stay in the lists.
     """
     neg_eps, eps1 = -epsilon, epsilon + 1.0
     u_append, height_append = us.append, heights.append
     try:
         e = x0 ** neg_eps if x0 > 0.0 else 0.0
-        if x0 > 0.0 and y0 >= 1.0 + e:  # in the set: its own foot; later points lie on the axis
-            u_append(x0)
-            height_append(y0)
-            cycles, y0 = cycles - 1, 0.0
+    except OverflowError:  # +inf, as in _boundary_height: h(x0) is +inf too
+        e = math.inf
+    try:
         for _ in range(cycles):
             h0 = math.inf
             if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
@@ -470,7 +469,7 @@ def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
             u_append(u)
             height_append(1.0 + e)
             x0, y0 = u, 0.0
-    except OverflowError:  # a power u**(-epsilon) past float range, at entry or in a solve
+    except OverflowError:  # a power u**(-epsilon) past float range in a solve
         raise NumericalFailureError(
             f"epigraph power overflowed projecting ({x0!r}, {y0!r}), epsilon={epsilon!r}"
         ) from None
@@ -484,7 +483,7 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     along the boundary (see :func:`_epigraph_stationarity`): outside points
     sit on the convex side of the boundary curve.  The solve is one cycle of
     :func:`_epigraph_feet`, which the two-set kernel in :mod:`cycproj.engine`
-    runs for a block of cycles per call.
+    runs for a block of cycles per call from cycle 1 on.
 
     For x0 > 0 the root is solved for the increment d = u - x0 on the
     closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
@@ -495,13 +494,13 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     record a zero step where the true one is positive, so
     :class:`NumericalFailureError` is raised.
 
-    For x0 <= 0, or when that bracket is wider than x0 itself
-    (h(x0) > x0, including an overflowing h), Newton from d = 0 would crawl
-    across many decades; the root is instead bracketed by geometric
+    For x0 <= 0, or when that bracket is wider than x0 itself (h(x0) > x0,
+    an overflowing h or x0**(-epsilon) included), Newton from d = 0 would
+    crawl across many decades; the root is instead bracketed by geometric
     expansion from u = 1 and solved for u itself.  Both brackets feed one
     safeguarded Newton loop that bisects whenever a step leaves the bracket
-    and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).  A power
-    u**(-epsilon) past float range raises :class:`NumericalFailureError`.
+    and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).  A power past
+    float range in the solve raises :class:`NumericalFailureError`.
     """
     x0, y0 = x.x, x.y
     if x0 > 0.0 and y0 >= _boundary_height(epsilon, x0):

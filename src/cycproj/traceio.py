@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .engine import RegularityVerdict, Trace
+from .engine import RegularityVerdict, Trace, _tail_slope
 
 __all__ = [
     "write_trace_csv",
@@ -71,7 +71,11 @@ def _clean(value):
 
 def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
                  params: dict, slope: float | None = None) -> dict:
-    """The stable machine-readable run summary; a failed run adds its ``failure`` text."""
+    """The stable machine-readable run summary; a failed run adds its ``failure`` text.
+
+    ``slope`` defaults to the rate fit over the verdict's tail, the last 20% of
+    r_1, r_2, ..., or None unless that holds at least 10 steps, all positive.
+    """
     r = trace.r
     sum_r_sq = float(np.sum(r[1:] ** 2)) if trace.completed >= 2 else 0.0
     summary = {
@@ -82,7 +86,7 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
         "verdict": v.classification,
         "final_r": _clean(v.final_r),
         "liminf_r": _clean(v.liminf_r),
-        "slope": _clean(slope if slope is not None else v.rate_slope),
+        "slope": _clean(slope if slope is not None else _tail_slope(trace)),
         "sums": {"r_sq": sum_r_sq},
         "failed": trace.failed,
     }

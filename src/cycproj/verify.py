@@ -389,33 +389,31 @@ def suite_projections(seed: int = 0) -> list[CheckResult]:
 # Two-set suite
 
 
-def suite_two_set(seed: int = 0) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _two_set_checks(prefix: str, trace, label: str) -> list[CheckResult]:
+    """The five two-set inequality checks of ``trace``, named ``prefix-*``."""
+    report = two_set_diagnostics(trace)
+    return [
+        CheckResult(f"{prefix}-step-chain", report.step_chain_ok, -report.step_chain_margin,
+                    CHAIN_SLACK, detail=f"s/r interleaving, {label}"),
+        CheckResult(f"{prefix}-gap-chain", report.gap_chain_ok, -report.gap_chain_margin,
+                    CHAIN_SLACK, detail="a/b interleaving"),
+        CheckResult(f"{prefix}-energy", report.energy_ok, -report.energy_margin,
+                    ENERGY_SLACK, detail="r_n^2 <= b_n^2 - a_{n+1}^2"),
+        CheckResult(f"{prefix}-monotone", report.monotone_ok, -report.monotone_margin,
+                    CHAIN_SLACK),
+        CheckResult(f"{prefix}-energy-sum", report.sum_ok, report.sum_r_sq - report.b1_sq,
+                    SUM_SLACK, detail="sum r_n^2 - b_1^2"),
+    ]
 
+
+def suite_two_set(seed: int = 0) -> list[CheckResult]:
     scenario = build_plane_two_sets(0.5)
     trace = iterate(scenario.space, scenario.sets, scenario.start(), 10_000)
-    report = two_set_diagnostics(trace)
-    checks.append(CheckResult("two-set-step-chain", report.step_chain_ok,
-                              -report.step_chain_margin, CHAIN_SLACK,
-                              detail="s/r interleaving, plane-two-sets(0.5)"))
-    checks.append(CheckResult("two-set-gap-chain", report.gap_chain_ok,
-                              -report.gap_chain_margin, CHAIN_SLACK,
-                              detail="a/b interleaving"))
-    checks.append(CheckResult("two-set-energy", report.energy_ok,
-                              -report.energy_margin, ENERGY_SLACK,
-                              detail="r_n^2 <= b_n^2 - a_{n+1}^2"))
-    checks.append(CheckResult("two-set-monotone", report.monotone_ok,
-                              -report.monotone_margin, CHAIN_SLACK))
-    checks.append(CheckResult("two-set-energy-sum", report.sum_ok,
-                              report.sum_r_sq - report.b1_sq, SUM_SLACK,
-                              detail="sum r_n^2 - b_1^2"))
+    checks = _two_set_checks("two-set", trace, "plane-two-sets(0.5)")
 
     lines = build_plane_two_lines(math.pi / 4.0)
     trace = iterate(lines.space, lines.sets, lines.start(), 50)
-    report = two_set_diagnostics(trace)
-    checks.append(CheckResult("two-lines-chains", report.passed,
-                              -min(report.step_chain_margin, report.gap_chain_margin,
-                                   report.energy_margin), max(CHAIN_SLACK, ENERGY_SLACK)))
+    checks += _two_set_checks("two-lines", trace, "two-lines(pi/4)")
     ratios = trace.r[1:] / trace.r[:-1]
     worst_ratio = float(np.max(np.abs(ratios - 0.5)))
     checks.append(CheckResult("two-lines-geometric-ratio", worst_ratio <= 1e-9,

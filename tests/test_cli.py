@@ -352,7 +352,11 @@ class TestVerify:
             "two-set-energy": 1e-12,
             "two-set-monotone": 1e-12,
             "two-set-energy-sum": 1e-9,
-            "two-lines-chains": 1e-12,
+            "two-lines-step-chain": 1e-12,
+            "two-lines-gap-chain": 1e-12,
+            "two-lines-energy": 1e-12,
+            "two-lines-monotone": 1e-12,
+            "two-lines-energy-sum": 1e-9,
             "two-lines-geometric-ratio": 1e-9,
             "two-lines-regular": 0.0,
             "tripod-projection-isometry": 1e-9,

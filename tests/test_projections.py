@@ -169,6 +169,11 @@ class TestEpigraph:
         with pytest.raises(NumericalFailureError, match="1e\\+300"):
             project(PLANE, Epigraph(1.0), PlanePoint(1e300, 0.0))
 
+    def test_power_overflow_in_the_solve_raises(self):
+        # halving from u = 1 overflows u**(-eps) at once for so large an eps
+        with pytest.raises(NumericalFailureError, match="epigraph power overflowed"):
+            project(PLANE, Epigraph(1e300), PlanePoint(-3.0, 2.0))
+
     def test_underflowed_bracket_width_reads_zero(self):
         # h(1e300) underflows to 0.0; its negation must not print as -0.0
         with pytest.raises(NumericalFailureError) as info:
@@ -184,6 +189,8 @@ class TestEpigraph:
         # finite brackets [x0, x0 + h(x0)] many decades wide
         (0.1, 1e-100, 0.47319375784270223),
         (0.01, 1e-300, 0.14349899580976305),
+        # x0**(-eps) itself overflows: h(x0) reads +inf, the bracket runs from u = 1
+        (2.0, 1e-300, 1.3301474934151594),
     ])
     def test_tiny_x_still_projects(self, eps, x0, foot):
         res = project(PLANE, Epigraph(eps), PlanePoint(x0, 0.0))

@@ -98,12 +98,6 @@ class TestTwistedChainBuilder:
         assert (second.u, second.v) == (first.u, first.v)
         assert (third.u, third.v) == (second.u, second.v)
 
-    def test_boundary_step_size(self):
-        scenario = build_twisted_chain(alpha=1.0, radius=0.1, circumference=3.0)
-        trace = iterate(scenario.space, scenario.sets, scenario.start("boundary"), 200)
-        target = 0.2 * math.sin(0.5)
-        assert np.abs(trace.r - target).max() <= 1e-9
-
     def test_untwisted_chain_is_static(self):
         scenario = build_twisted_chain(alpha=0.0, radius=0.1, circumference=3.0)
         trace = iterate(scenario.space, scenario.sets, scenario.start("boundary"), 20)
