@@ -233,9 +233,9 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
     """
     completed, x, failure = _generic_cycles(space, sets, start, stride, r[:1], s_arr[:1],
                                             a_arr[:2], b_arr[:1], point_indices, points)
-    n = len(r)
-    if failure is not None or n == 1:
+    if failure is not None:
         return completed, x, failure
+    n = len(r)
     epsilon = sets[1].epsilon
     hypot = math.hypot
     x_x, y_y = x.x, a_arr[1]  # the previous foot is (x_x, y_y)

@@ -73,8 +73,7 @@ def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
                  params: dict, slope: float | None = None) -> dict:
     """The stable machine-readable run summary; a failed run adds its ``failure`` text.
 
-    ``slope`` defaults to the rate fit over the verdict's tail, the last 20% of
-    r_1, r_2, ..., or None unless that holds at least 10 steps, all positive.
+    ``slope`` defaults to the rate fit over the verdict's tail, or None.
     """
     r = trace.r
     sum_r_sq = float(np.sum(r[1:] ** 2)) if trace.completed >= 2 else 0.0
