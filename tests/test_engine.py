@@ -319,6 +319,29 @@ class TestAxisEpigraphKernel:
         assert kernel[7] and len(kernel[0]) == 8 * cycles_run
         assert kernel[5][-1] == cycles_run
 
+    @pytest.mark.parametrize("later", [NumericalFailureError("a later cycle failed"),
+                                       ZeroDivisionError("a later cycle divided by 0")])
+    def test_non_finite_foot_raises_before_a_later_error(self, monkeypatch, later):
+        # the generic loop raises at the first non-finite foot.  A solver call
+        # ends at its first failure, so a later error comes from the next
+        # call; at stride 1 the kernel builds the block's points, and so
+        # raises on the foot, before it makes that call
+        import cycproj.engine
+
+        calls = []
+
+        def feet(epsilon, x0, y0, cycles, us, heights):
+            calls.append(cycles)
+            if len(calls) > 1:
+                raise later
+            us += [2.0, math.nan] + [1.0] * (cycles - 2)
+            heights += [1.5] * cycles
+
+        monkeypatch.setattr(cycproj.engine, "_epigraph_feet", feet)
+        with pytest.raises(ValueError, match="x must be finite, got nan"):
+            iterate(Plane(), (AxisLine(), Epigraph(0.5)), PlanePoint(1.3, 0.0), _BLOCK + 10)
+        assert calls == [_BLOCK]
+
     @given(st.floats(-300.0, 300.0), st.floats(-323.0, 308.0))
     @settings(max_examples=500, deadline=None)
     def test_feet_from_the_axis_are_finite(self, log_eps, log_x0):
