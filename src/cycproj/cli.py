@@ -172,16 +172,13 @@ def _run(args: argparse.Namespace):
 
     Returns ``(scenario, start_label, trace, fit, summary)``: ``fit`` is the
     rate fit over ``args.rate_window``, or None without one.  A run that fails
-    on its first cycle has nothing to classify, so its summary says why.
+    on its first cycle has nothing to classify or fit, so both are None.
     """
     scenario, start, start_label = _scenario_and_start(args)
     trace = iterate(scenario.space, scenario.sets, start, args.n, stride=args.stride)
-    if trace.completed == 0:
-        summary = {"scenario": scenario.name, "n": 0, "failed": True,
-                   "failure": trace.failure}
-        return scenario, start_label, trace, None, summary
-    fit = None if args.rate_window is None else rate_fit(trace, tuple(args.rate_window))
-    summary = traceio.summary_dict(trace, verdict(trace), scenario=scenario.name,
+    ran = trace.completed > 0
+    fit = rate_fit(trace, tuple(args.rate_window)) if ran and args.rate_window else None
+    summary = traceio.summary_dict(trace, verdict(trace) if ran else None, scenario=scenario.name,
                                    params=dict(scenario.params),
                                    slope=None if fit is None else fit.slope)
     return scenario, start_label, trace, fit, summary

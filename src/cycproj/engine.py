@@ -10,12 +10,13 @@ outputs x_n = P^n(x), the step sizes r_n = d(x_n, x_{n+1}) computed from
 one full cycle apart (never from intermediates), and for k = 2 the
 auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
 
-``iterate`` picks its loop from the types of its inputs.  A ``Plane`` with
-the sets ``(AxisLine(), Epigraph(eps))`` runs cycle 0 through the generic
-loop and cycles 1..n on a float kernel: x_n stays on the axis from n = 1
-on, one call to the epigraph solver gives the feet of a block of cycles,
-the kernel fills the trace's columns for the whole block at once, and
-points are built only where the trace stores them.  Its output is
+``iterate`` builds the trace before any cycle runs, the loop its input
+types pick fills it in place, and ``iterate`` stores the last point.  A
+``Plane`` with the sets ``(AxisLine(), Epigraph(eps))`` runs cycle 0 through
+the generic loop and cycles 1..n on a float kernel: x_n stays on the axis
+from n = 1 on, one call to the epigraph solver gives the feet of a block of
+cycles, the kernel fills the trace's columns for the whole block at once,
+and points are built only where the trace stores them.  Its output is
 bitwise the generic loop's: r and a are distances along one axis, where
 ``math.hypot`` is exactly ``abs``, so they are numpy ``abs`` columns, while
 b and s keep ``math.hypot`` per cycle, since ``np.hypot`` can differ from
@@ -27,6 +28,7 @@ through ``project`` and ``space.distance``.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -86,8 +88,11 @@ class Trace:
     s: np.ndarray | None = None
     a: np.ndarray | None = None
     b: np.ndarray | None = None
-    failed: bool = False
     failure: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
 
     @property
     def k(self) -> int:
@@ -121,11 +126,16 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     Deterministic: identical inputs produce bit-identical traces, with each
     solver picked from the space and the set as in :func:`project` and
     stopping at its one fixed tolerance of 1e-12.  On a numerical failure
-    inside a projection the trace is returned truncated with ``failed`` set;
-    domain and usage errors propagate.  The x-axis against an epigraph runs
-    on the float kernel :func:`_axis_epigraph_cycles`, every other input on
-    :func:`_generic_cycles`; both fill the trace with the same bits.
+    inside a projection the trace is returned truncated with ``failure``
+    set; domain and usage errors propagate.  The trace is built first and
+    filled in place by :func:`_generic_cycles`, or for the x-axis against an
+    epigraph by it in cycle 0 and by the float kernel
+    :func:`_axis_epigraph_cycles` after, with the same bits.  The loops store
+    cycles k with ``k % stride <= 1``; the last point is stored here.
     """
+    for name, value in (("cycles", cycles), ("stride", stride)):
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     sets = tuple(sets)
     if not sets:
         raise ValueError("at least one convex set is required")
@@ -137,116 +147,89 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         raise ValueError(f"stride must be >= 1, got {stride!r}")
 
     two_sets = len(sets) == 2
-    r = np.empty(cycles)
-    s_arr = np.full(cycles, np.nan) if two_sets else None
-    a_arr = np.full(cycles + 1, np.nan) if two_sets else None
-    b_arr = np.full(cycles, np.nan) if two_sets else None
-    point_indices: list[int] = [0]
-    points: list = [start]
+    trace = Trace(space=space, sets=sets, stride=stride, r=np.empty(cycles), point_indices=[0],
+                  points=[start], s=np.full(cycles, np.nan) if two_sets else None,
+                  a=np.full(cycles + 1, np.nan) if two_sets else None,
+                  b=np.full(cycles, np.nan) if two_sets else None)
 
-    # A Plane subclass may measure differently, so only the Plane itself
-    # takes the kernel.
-    if (type(space) is Plane and two_sets and isinstance(sets[0], AxisLine)
-            and isinstance(sets[1], Epigraph)):
-        cycles_of = _axis_epigraph_cycles
-    else:
-        cycles_of = _generic_cycles
-    completed, x, failure = cycles_of(space, sets, start, stride, r, s_arr, a_arr, b_arr,
-                                      point_indices, points)
+    # Only the Plane itself takes the kernel, as a subclass may measure
+    # differently; the kernel's cycle 0, whose start may lie anywhere, runs here.
+    kernel = (type(space) is Plane and two_sets and isinstance(sets[0], AxisLine)
+              and isinstance(sets[1], Epigraph))
+    completed, x = _generic_cycles(trace, start, 1 if kernel else cycles)
+    if kernel and trace.failure is None:
+        completed, x = _axis_epigraph_cycles(trace, x)
 
-    if failure is not None:
-        r = r[:completed]
-        if two_sets:
-            s_arr = s_arr[:completed]
-            a_arr = a_arr[: completed + 1]
-            b_arr = b_arr[:completed]
-        if point_indices[-1] != completed:
-            point_indices.append(completed)
-            points.append(x)
-
-    return Trace(
-        space=space,
-        sets=sets,
-        stride=stride,
-        r=r,
-        point_indices=np.asarray(point_indices, dtype=np.int64),
-        points=points,
-        s=s_arr,
-        a=a_arr,
-        b=b_arr,
-        failed=failure is not None,
-        failure=failure,
-    )
+    trace.r = trace.r[:completed]  # fewer than ``cycles`` only after a failure
+    if two_sets:
+        trace.s, trace.a, trace.b = trace.s[:completed], trace.a[:completed + 1], trace.b[:completed]
+    if trace.point_indices[-1] != completed:
+        trace.point_indices.append(completed)
+        trace.points.append(x)
+    trace.point_indices = np.asarray(trace.point_indices, dtype=np.int64)
+    return trace
 
 
-def _generic_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr, point_indices,
-                    points):
-    """Fill a trace's arrays and point lists cycle by cycle through ``project``.
+def _generic_cycles(trace: Trace, x, n: int):
+    """Run cycles 0..n-1 from ``x`` through ``project``, filling ``trace`` in place.
 
-    Returns ``(completed, x, failure)``: the cycles run, the last point
-    reached and the text of the numerical failure that stopped the run, or
-    None when all ``len(r)`` cycles ran.
+    Stores the points of cycles k with ``k % stride <= 1``.  Returns
+    ``(completed, x)``, the cycles run and the last point reached; a
+    numerical failure stops the run and is recorded as ``trace.failure``.
     """
-    two_sets = s_arr is not None
-    n = len(r)
+    space, sets, stride, points = trace.space, trace.sets, trace.stride, trace.points
+    r, s_arr, a_arr, b_arr, point_indices = trace.r, trace.s, trace.a, trace.b, trace.point_indices
     distance = space.distance
-    x = start
     y_prev = None
     for i in range(n):
         try:
             x_next, mids = cycle_apply(space, sets, x)
         except NumericalFailureError as exc:
-            return i, x, str(exc)
+            trace.failure = str(exc)
+            return i, x
         r[i] = distance(x, x_next)
-        if two_sets:
+        if s_arr is not None:  # two sets
             y = mids[0]
             b_arr[i] = distance(y, x)
             a_arr[i + 1] = distance(x_next, y)
             if y_prev is not None:
                 s_arr[i] = distance(y_prev, y)
             y_prev = y
-        if (i + 1) % stride <= 1 or i + 1 == n:
+        if (i + 1) % stride <= 1:
             point_indices.append(i + 1)
             points.append(x_next)
         x = x_next
-    return n, x, None
+    return n, x
 
 
-def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
-                          point_indices, points):
-    """The cycles of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
+def _axis_epigraph_cycles(trace: Trace, x: PlanePoint):
+    """Cycles 1..n of :func:`_generic_cycles` for the x-axis against an epigraph, on floats.
 
-    Cycle 0, whose start may lie anywhere in the plane, runs through
-    :func:`_generic_cycles`, which validates the start.  From cycle 1 on x
-    lies on the axis: a cycle projects x = (x_x, 0) onto the epigraph, giving
-    the foot y = (u, height), and y onto the axis, giving (u, 0).  The
-    previous foot is (x_1.x, a_1), since a_1 = d(x_1, y_1) is its height.
-    :func:`_epigraph_feet` solves the feet ``_BLOCK`` cycles per call, and
-    each column is then written for the block in one slice.
-    ``Plane.distance``'s ``hypot(x_x - u, 0.0)`` for r and
-    ``hypot(0.0, -height)`` for a are exactly ``abs(x_x - u)`` and
+    ``x`` is x_1, on the axis, and cycle 0 is already in ``trace``.  A cycle
+    projects x = (x_x, 0) onto the epigraph, giving the foot y = (u, height),
+    and y onto the axis, giving (u, 0).  The previous foot is (x_1.x, a_1),
+    since a_1 = d(x_1, y_1) is its height.  :func:`_epigraph_feet` solves the
+    feet ``_BLOCK`` cycles per call, and each column is then written for the
+    block in one slice.  ``Plane.distance``'s ``hypot(x_x - u, 0.0)`` for r
+    and ``hypot(0.0, -height)`` for a are exactly ``abs(x_x - u)`` and
     ``abs(height)``; they are taken as numpy ``abs`` over the block.  b and s
     keep ``math.hypot`` on the same operands, mapped over the block, because
     ``np.hypot`` differs from it in the last bit for a few pairs in a
     thousand.  So the trace is bitwise the generic loop's.  Points are built
-    only where the trace stores them.
+    only where the trace stores them.  Returns ``(completed, x)``.
     """
-    completed, x, failure = _generic_cycles(space, sets, start, stride, r[:1], s_arr[:1],
-                                            a_arr[:2], b_arr[:1], point_indices, points)
-    if failure is not None:
-        return completed, x, failure
-    n = len(r)
-    epsilon = sets[1].epsilon
+    r, s_arr, a_arr, b_arr, n = trace.r, trace.s, trace.a, trace.b, len(trace.r)
+    point_indices, points, stride = trace.point_indices, trace.points, trace.stride
+    epsilon = trace.sets[1].epsilon
     hypot = math.hypot
     x_x, y_y = x.x, a_arr[1]  # the previous foot is (x_x, y_y)
     i = 1
-    while i < n:
+    while i < n and trace.failure is None:
         us, heights = [], []
-        failure = None
         try:
             _epigraph_feet(epsilon, x_x, 0.0, min(_BLOCK, n - i), us, heights)
         except NumericalFailureError as exc:
-            failure = str(exc)
+            trace.failure = str(exc)
         if m := len(us):
             u, height = np.array([x_x, *us]), np.array([y_y, *heights])
             du = u[:-1] - u[1:]
@@ -258,18 +241,14 @@ def _axis_epigraph_cycles(space, sets, start, stride, r, s_arr, a_arr, b_arr,
             if stride == 1:
                 point_indices.extend(range(i + 1, i + m + 1))
                 points.extend(map(PlanePoint, us, repeat(0.0, m)))
-            else:  # the block's cycles k with k % stride <= 1, then cycle n
+            else:  # the block's cycles k with k % stride <= 1
                 kept = [k for j in range(i + 1 - (i + 1) % stride, i + m + 1, stride)
                         for k in (j, j + 1) if i < k <= i + m]
-                if i + m == n and n % stride > 1:
-                    kept.append(n)
                 point_indices += kept
                 points += [PlanePoint(us[k - i - 1], 0.0) for k in kept]
             i += m
             x_x, y_y = us[-1], heights[-1]
-        if failure is not None:
-            return i, PlanePoint(x_x, 0.0), failure
-    return n, None, None
+    return i, PlanePoint(x_x, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +292,11 @@ ENERGY_SLACK = 1e-12
 SUM_SLACK = 1e-9
 
 
+def _sum_r_sq(trace: Trace) -> float:
+    """sum_{n>=1} r_n^2, the left side of the summed bound; 0.0 below two steps."""
+    return float(np.sum(trace.r[1:] ** 2)) if trace.completed >= 2 else 0.0
+
+
 def two_set_diagnostics(trace: Trace) -> TwoSetReport:
     """Verify the interleaved step-size inequalities of a two-set trace.
 
@@ -344,7 +328,7 @@ def two_set_diagnostics(trace: Trace) -> TwoSetReport:
     energy_margin = min(margins_energy)
     mono_margin = float(np.min(r[:-1] - r[1:])) if n >= 2 else inf
 
-    sum_r_sq = float(np.sum(r[1:n] ** 2)) if n >= 2 else 0.0
+    sum_r_sq = _sum_r_sq(trace)
     b1_sq = float(b[1] ** 2) if n >= 2 else inf
     sum_margin = b1_sq + SUM_SLACK - sum_r_sq
 

@@ -15,9 +15,7 @@ import math
 import numbers
 from itertools import zip_longest
 
-import numpy as np
-
-from .engine import RegularityVerdict, Trace, _tail_slope
+from .engine import RegularityVerdict, Trace, _sum_r_sq, _tail_slope
 
 __all__ = [
     "write_trace_csv",
@@ -53,7 +51,9 @@ def read_trace_csv(path) -> dict[str, list]:
     """Read a trace CSV back into columns (floats, None for empty fields)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        headers = next(reader)
+        headers = next(reader, None)
+        if headers is None:
+            raise ValueError(f"{path}: empty trace file, no header row")
         columns: dict[str, list] = {h: [] for h in headers}
         for row in reader:
             for h, cell in zip(headers, row):
@@ -69,24 +69,24 @@ def _clean(value):
     return value
 
 
-def summary_dict(trace: Trace, v: RegularityVerdict, *, scenario: str,
+def summary_dict(trace: Trace, v: RegularityVerdict | None, *, scenario: str,
                  params: dict, slope: float | None = None) -> dict:
     """The stable machine-readable run summary; a failed run adds its ``failure`` text.
 
-    ``slope`` defaults to the rate fit over the verdict's tail, or None.
+    ``v`` is None for a run that failed on its first cycle, which has nothing
+    to classify: its verdict, final_r and liminf_r are then None.  ``slope``
+    defaults to the rate fit over the verdict's tail, or None.
     """
-    r = trace.r
-    sum_r_sq = float(np.sum(r[1:] ** 2)) if trace.completed >= 2 else 0.0
     summary = {
         "scenario": scenario,
         "params": {k: int(val) if isinstance(val, numbers.Integral) else _clean(float(val))
                    for k, val in params.items()},
         "n": trace.completed,
-        "verdict": v.classification,
-        "final_r": _clean(v.final_r),
-        "liminf_r": _clean(v.liminf_r),
+        "verdict": v and v.classification,
+        "final_r": v and _clean(v.final_r),
+        "liminf_r": v and _clean(v.liminf_r),
         "slope": _clean(slope if slope is not None else _tail_slope(trace)),
-        "sums": {"r_sq": sum_r_sq},
+        "sums": {"r_sq": _sum_r_sq(trace)},
         "failed": trace.failed,
     }
     if trace.failed:

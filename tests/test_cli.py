@@ -488,6 +488,17 @@ class TestSweep:
         del payload["trace"]
         assert entry == payload
 
+    def test_first_cycle_failure_keeps_its_params(self, tmp_path):
+        # a run with nothing to classify still reports the grid value it ran at
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.5,1.0",
+                       "--n", "5", "--start-coords=1e300,0", "--out", str(out)) == 3
+        entries = json.loads(out.read_text())
+        assert [entry["params"] for entry in entries] == [{"epsilon": 0.5}, {"epsilon": 1.0}]
+        for entry in entries:
+            assert entry["n"] == 0 and entry["failed"] is True and entry["verdict"] is None
+            assert "within one ulp of x0" in entry["failure"]
+
     def test_failed_runs_recorded_and_exit_nonzero(self, tmp_path):
         out = tmp_path / "bad.json"
         code = run_cli("sweep", "plane-two-sets", "--param", "epsilon",

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from cycproj import (
     AxisLine,
@@ -17,6 +17,7 @@ from cycproj import (
     Trace,
     build_plane_two_lines,
     build_plane_two_sets,
+    build_scenario,
     build_tripod_counterexample,
     cycle_apply,
     iterate,
@@ -141,6 +142,75 @@ class TestIterate:
             iterate(tripod.space, (), tripod.start("endpoint"), 5)
 
 
+def failing_at(patch, fail_at):
+    """Make cycle ``fail_at`` (from 0) raise ``NumericalFailureError`` on either loop."""
+    import cycproj.engine
+
+    done = [0]
+
+    def cycle(space, sets, x):
+        if done[0] == fail_at:
+            raise NumericalFailureError("stopped")
+        done[0] += 1
+        return cycle_apply(space, sets, x)
+
+    def feet(epsilon, x0, y0, cycles, us, heights):
+        run = min(cycles, fail_at - done[0])
+        _epigraph_feet(epsilon, x0, y0, run, us, heights)
+        done[0] += run
+        if run < cycles:
+            raise NumericalFailureError("stopped")
+
+    patch.setattr(cycproj.engine, "cycle_apply", cycle)
+    patch.setattr(cycproj.engine, "_epigraph_feet", feet)
+
+
+class TestStoredPoints:
+    @pytest.mark.parametrize("name", ["tripod", "plane-two-sets"])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"stride": 2.5}, "stride must be an integer, got 2.5"),
+        ({"cycles": 2.5}, "cycles must be an integer, got 2.5"),
+    ])
+    def test_non_integral_counts_raise_before_any_cycle(self, monkeypatch, name, kwargs,
+                                                         match):
+        import cycproj.engine
+
+        calls = []
+
+        def counted_project(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(cycproj.engine, "project", counted_project)
+        scenario = build_scenario(name)
+        kwargs = {"cycles": 10, **kwargs}
+        cycles = kwargs.pop("cycles")
+        with pytest.raises(TypeError, match=match):
+            iterate(scenario.space, scenario.sets, scenario.start(), cycles, **kwargs)
+        assert not calls
+        # numpy integers are integers
+        trace = iterate(scenario.space, scenario.sets, scenario.start(), np.int64(10),
+                        stride=np.int64(3))
+        assert trace.point_indices.tolist() == [0, 1, 3, 4, 6, 7, 9, 10]
+
+    @seed(0)
+    @given(st.sampled_from(["tripod", "twisted-chain", "plane-two-sets"]),
+           st.integers(1, 3 * _BLOCK + 5), st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stored_indices_of_completed_and_failed_runs(self, name, n, stride, data):
+        # the plane-two-sets scenario runs on the float kernel from cycle 1 on
+        fail_at = data.draw(st.integers(0, n), label="fail_at")  # n: the run completes
+        scenario = build_scenario(name)
+        with pytest.MonkeyPatch.context() as patch:
+            failing_at(patch, fail_at)
+            trace = iterate(scenario.space, scenario.sets, scenario.start(), n, stride=stride)
+        completed = min(fail_at, n)
+        assert trace.completed == completed and trace.failed is (fail_at < n)
+        expected = {0, completed} | {k for k in range(completed + 1) if k % stride <= 1}
+        assert trace.point_indices.tolist() == sorted(expected)
+        assert len(trace.points) == len(expected)
+
+
 def reference_iterate(space, sets, start, cycles, *, stride=None):
     """The generic loop of ``iterate``: ``cycle_apply`` plus ``space.distance``.
 
@@ -186,8 +256,7 @@ def reference_iterate(space, sets, start, cycles, *, stride=None):
             points.append(x)
     return Trace(space=space, sets=sets, stride=stride, r=r,
                  point_indices=np.asarray(point_indices, dtype=np.int64), points=points,
-                 s=s_arr, a=a_arr, b=b_arr,
-                 failed=failure is not None, failure=failure)
+                 s=s_arr, a=a_arr, b=b_arr, failure=failure)
 
 
 def outcome(run, *args, **kwargs):

@@ -80,3 +80,10 @@ def test_json_payload_is_valid_json_with_nulls(tmp_path):
     assert payload["trace"]["s"][0] is None
     assert len(payload["trace"]["r"]) == 10
     assert payload["n"] == 10
+
+
+def test_empty_csv_names_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: empty trace file"):
+        read_trace_csv(path)
