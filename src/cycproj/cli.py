@@ -172,12 +172,17 @@ def _run(args: argparse.Namespace):
 
     Returns ``(scenario, start_label, trace, fit, summary)``: ``fit`` is the
     rate fit over ``args.rate_window``, or None without one.  A run that fails
-    on its first cycle has nothing to classify or fit, so both are None.
+    on its first cycle has nothing to classify or fit, so both are None; a run
+    that fails before a well-formed window has no fit either, and still exits 3.
     """
     scenario, start, start_label = _scenario_and_start(args)
     trace = iterate(scenario.space, scenario.sets, start, args.n, stride=args.stride)
     ran = trace.completed > 0
-    fit = rate_fit(trace, tuple(args.rate_window)) if ran and args.rate_window else None
+    fit = None
+    if ran and args.rate_window:
+        lo, hi = args.rate_window
+        if not (trace.failed and 1 <= lo < hi and trace.completed - 1 <= lo):
+            fit = rate_fit(trace, (lo, hi))
     summary = traceio.summary_dict(trace, verdict(trace) if ran else None, scenario=scenario.name,
                                    params=dict(scenario.params),
                                    slope=None if fit is None else fit.slope)

@@ -17,9 +17,12 @@ Suites:
   involution certificates; the twisted chain's rotation, power-step and
   NotRegular-power certificates.
 
-Each check seeds its own ``numpy.random.Generator`` and draws its samples in
-a fixed order.  Scalar uniforms come from ``_uniform``, which is bitwise
-``rng.uniform(lo, hi)`` computed from the cheaper ``rng.random()``.
+Each check seeds its own ``_Stream`` and draws its samples in a fixed order.
+The stream gives ``numpy.random.default_rng(seed)``'s values bit for bit but
+reads the PCG64 words 1024 at a time; no check hands its stream on, so the
+words read ahead are never drawn by another.  Scalar uniforms come from
+``_uniform``, which is bitwise ``rng.uniform(lo, hi)`` computed from
+``rng.random()``.  The samplers take a numpy ``Generator`` as well.
 
 The ``metric`` and ``projections`` suites run as parts: a part is one check
 on one space, or one property on one projection target, a function of the
@@ -34,6 +37,7 @@ again (the parts call no BLAS, whose threads are the process's only others).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import signal
@@ -105,6 +109,44 @@ class CheckResult:
 # Random samplers
 
 
+class _Stream:
+    """``np.random.default_rng(seed)``'s ``random()`` and ``integers(k)``, bit for bit.
+
+    The PCG64 words are read 1024 at a time as Python ints, which spares the
+    numpy call of each draw.  A double is ``next_double``: the word's top 53
+    bits times 2**-53.  ``integers(k)`` is numpy's Lemire draw on 32-bit
+    halves: a word gives its low half and keeps the high half for the next
+    integer draw (a double never takes it), and a product whose low 32 bits
+    fall below ``(2**32 - k) % k`` is rejected.  Its ``k`` lies in [1, 2**32].
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed: int):
+        bits = np.random.PCG64(seed)
+        blocks = iter(lambda: bits.random_raw(1024).tolist(), None)
+        self._word = itertools.chain.from_iterable(blocks).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, k: int) -> int:
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0  # numpy draws nothing for a single value
+        threshold = ((1 << 32) - k) % k
+        while True:
+            if self._half is None:
+                word = self._word()
+                self._half, m = word >> 32, (word & 0xFFFFFFFF) * k
+            else:
+                self._half, m = None, self._half * k
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 def _uniform(rng, lo: float, hi: float) -> float:
     """``rng.uniform(lo, hi)`` bit for bit: numpy computes that as ``lo + (hi - lo) * d``
     with d the stream's next double, the value ``rng.random()`` returns."""
@@ -152,7 +194,7 @@ def _spaces_with_samplers():
 
 def _metric_axioms(seed: int, index: int) -> list[CheckResult]:
     label, space, sampler = _spaces_with_samplers()[index]
-    rng = np.random.default_rng(seed)
+    rng = _Stream(seed)
     worst_sym = 0.0
     worst_tri = 0.0
     for _ in range(_METRIC_SAMPLES):
@@ -167,7 +209,7 @@ def _metric_axioms(seed: int, index: int) -> list[CheckResult]:
 
 def _constant_speed(seed: int, index: int) -> list[CheckResult]:
     label, space, sampler = _spaces_with_samplers()[index]
-    rng = np.random.default_rng(seed + 1)
+    rng = _Stream(seed + 1)
     worst = 0.0
     for _ in range(_METRIC_SAMPLES):
         p, q = sampler(rng, space), sampler(rng, space)
@@ -179,7 +221,7 @@ def _constant_speed(seed: int, index: int) -> list[CheckResult]:
 
 def _star_gluing(seed: int) -> list[CheckResult]:
     tree = StarTree.unit(3)
-    rng = np.random.default_rng(seed + 2)
+    rng = _Stream(seed + 2)
     worst = 0.0
     for _ in range(_METRIC_SAMPLES):
         p, q = _star_point(rng, tree), _star_point(rng, tree)
@@ -193,7 +235,7 @@ def _star_gluing(seed: int) -> list[CheckResult]:
 
 def _cn_margin(seed: int, index: int) -> list[CheckResult]:
     label, space, sampler = _spaces_with_samplers()[index]
-    rng = np.random.default_rng(seed + 3)
+    rng = _Stream(seed + 3)
     worst = 0.0
     for _ in range(_METRIC_SAMPLES):
         x, y, z = sampler(rng, space), sampler(rng, space), sampler(rng, space)
@@ -204,7 +246,7 @@ def _cn_margin(seed: int, index: int) -> list[CheckResult]:
 
 def _chain_representatives(seed: int) -> list[CheckResult]:
     chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
-    rng = np.random.default_rng(seed + 4)
+    rng = _Stream(seed + 4)
     worst = 0.0
     c, s = math.cos(chain.twist), math.sin(chain.twist)
     for _ in range(_METRIC_SAMPLES):
@@ -295,8 +337,8 @@ def _projection_targets(rng):
 
 
 def _idempotence(seed: int, index: int) -> float:
-    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
-    rng = np.random.default_rng(seed)
+    _, space, cset, sampler = _projection_targets(_Stream(seed + 100))[index]
+    rng = _Stream(seed)
     worst = 0.0
     for _ in range(_PROJECTION_INPUTS):
         x = sampler(rng, space)
@@ -306,8 +348,8 @@ def _idempotence(seed: int, index: int) -> float:
 
 
 def _nonexpansion(seed: int, index: int) -> float:
-    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
-    rng = np.random.default_rng(seed + 1)
+    _, space, cset, sampler = _projection_targets(_Stream(seed + 100))[index]
+    rng = _Stream(seed + 1)
     worst = 0.0
     for _ in range(_PROJECTION_PAIRS):
         x, y = sampler(rng, space), sampler(rng, space)
@@ -319,8 +361,8 @@ def _nonexpansion(seed: int, index: int) -> float:
 
 def _optimality(seed: int, index: int) -> tuple[float, float]:
     """Worst optimality gap and worst angle defect at the foot, for one target."""
-    _, space, cset, sampler = _projection_targets(np.random.default_rng(seed + 100))[index]
-    rng = np.random.default_rng(seed + 2)
+    _, space, cset, sampler = _projection_targets(_Stream(seed + 100))[index]
+    rng = _Stream(seed + 2)
     worst_opt = 0.0
     worst_angle_defect = 0.0
     for _ in range(20):
@@ -342,7 +384,7 @@ def _exact_vs_generic(seed: int) -> float:
     tripod = build_tripod_counterexample(3)
     product = tripod.space
     worst = 0.0
-    rng = np.random.default_rng(seed + 3)
+    rng = _Stream(seed + 3)
     for cset in tripod.sets[:3]:
         for _ in range(_PROJECTION_INPUTS // 2):
             x = _product_point(rng, product)
@@ -362,7 +404,7 @@ def _labelled_worst(worsts: list[float], labels: list[str]) -> tuple[float, str]
 
 
 def suite_projections(seed: int = 0) -> list[CheckResult]:
-    labels = [label for label, *_ in _projection_targets(np.random.default_rng(seed + 100))]
+    labels = [label for label, *_ in _projection_targets(_Stream(seed + 100))]
     n = len(labels)
     # the longest part first, so no worker is left with it at the end
     worst_agree, *results = _run_parts([_exact_vs_generic] + [
@@ -494,7 +536,7 @@ def chain_certificates() -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     worst_rot = 0.0
-    rng = np.random.default_rng(7)
+    rng = _Stream(7)
     c, s = math.cos(alpha), math.sin(alpha)
     for _ in range(_CHAIN_SAMPLES):
         u, v = _disc_coords(rng, chain.radius)

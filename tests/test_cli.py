@@ -25,6 +25,9 @@ def run_cli(*argv) -> int:
 
 EXTREMES = (0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e8, 1e300, 1.7e308)
 
+# at epsilon 0.25, six ulps below 2**23, plane-two-sets fails numerically at cycle 6
+FAILS_AT_CYCLE_6 = ["--n", "50", f"--start-coords={2.0**23 - 6 * 2.0**-30!r},0"]
+
 
 def extreme_run_argv(rng: random.Random) -> list[str]:
     """A ``run`` command line whose scenario parameter and start come from EXTREMES."""
@@ -194,6 +197,26 @@ class TestRun:
         assert payload["trace"]["points"] == [[1e300, 0.0]]
         assert payload["trace"]["r"] == []
 
+    def test_failure_before_the_rate_window_exits_3(self, tmp_path, capsys):
+        # the window cannot be fitted, but the failure is numerical, not a usage error
+        plain, windowed = tmp_path / "plain.json", tmp_path / "windowed.json"
+        assert run_cli("run", "plane-two-sets", "--epsilon", "0.25", *FAILS_AT_CYCLE_6,
+                       "--format", "json", "--out", str(plain)) == 3
+        capsys.readouterr()
+        assert run_cli("run", "plane-two-sets", "--epsilon", "0.25", *FAILS_AT_CYCLE_6,
+                       "--rate-window", "10", "40", "--format", "json", "--out", str(windowed)) == 3
+        captured = capsys.readouterr()
+        assert "rate: " not in captured.out
+        assert captured.err.startswith("numerical failure after 6 cycles: ")
+        payload = json.loads(windowed.read_text())
+        assert payload["n"] == 6 and payload["failed"] is True
+        # the summary keeps the slope the run without a window reports
+        assert payload == json.loads(plain.read_text())
+        # a window past the end of a completed run stays a usage error
+        assert run_cli("run", "plane-two-sets", "--n", "50", "--rate-window", "60", "80",
+                       "--out", str(tmp_path / "done.csv")) == 2
+        assert "lies outside the trace (n=50)" in capsys.readouterr().err
+
     def test_extreme_inputs_exit_by_the_contract(self, tmp_path, capsys):
         # 0 for a run, 2 for a usage error, 3 for a numerical failure with its flagged trace
         rng = random.Random(0)
@@ -291,6 +314,16 @@ class TestRate:
         assert code == 0
         slope = float(capsys.readouterr().out.split("rate: slope=")[1].split()[0])
         assert abs(slope) <= 1e-9
+
+    def test_failure_before_the_default_window_exits_3(self, tmp_path, capsys):
+        # the default window [5, 50] begins where the run has failed
+        out = tmp_path / "rate.csv"
+        assert run_cli("rate", "plane-two-sets", "--epsilon", "0.25", *FAILS_AT_CYCLE_6,
+                       "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert "rate: " not in captured.out
+        assert captured.err.startswith("numerical failure after 6 cycles: ")
+        assert read_trace_csv(out)["n"][-1] == 6.0  # the partial trace, flagged by the exit code
 
     @staticmethod
     def rate_line(text: str) -> str:
@@ -498,6 +531,16 @@ class TestSweep:
         for entry in entries:
             assert entry["n"] == 0 and entry["failed"] is True and entry["verdict"] is None
             assert "within one ulp of x0" in entry["failure"]
+
+    def test_failure_before_the_rate_window_is_a_failed_entry(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "plane-two-sets", "--param", "epsilon", "--values", "0.25",
+                       *FAILS_AT_CYCLE_6, "--rate-window", "10", "40",
+                       "--out", str(out)) == 3
+        [entry] = json.loads(out.read_text())
+        assert "error" not in entry
+        assert entry["n"] == 6 and entry["failed"] is True
+        assert "does not move x0" in entry["failure"]
 
     def test_failed_runs_recorded_and_exit_nonzero(self, tmp_path):
         out = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import random
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -106,6 +107,38 @@ def sampler_pairs():
     return [pytest.param(shipped, reference, id=label) for label, shipped, reference in pairs]
 
 
+STREAM_KS = (1, 2, 3, 2**31 + 5, 2**32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345, 2**64 - 1])
+def test_stream_draws_equal_numpy_generator(seed):
+    # random interleavings of doubles and integers, long enough to cross
+    # several 1024-word refills; 2**31 + 5 rejects about half its draws
+    stream, rng = verify._Stream(seed), np.random.default_rng(seed)
+    pattern = random.Random(seed)
+    halves = 0
+    for _ in range(8000):
+        k = pattern.choice((None, None, *STREAM_KS))
+        if k is None:
+            assert stream.random() == rng.random()
+            halves += 2
+        else:
+            assert stream.integers(k) == int(rng.integers(k))
+            halves += k > 1
+    assert halves // 2 > 3 * 1024
+
+
+@pytest.mark.parametrize("k", [0, 2**32 + 1])
+def test_stream_rejects_k_outside_32_bits(k):
+    stream, rng = verify._Stream(5), np.random.default_rng(5)
+    assert stream.integers(3) == int(rng.integers(3))
+    with pytest.raises(ValueError, match="1 <= k <= 2[*][*]32"):
+        stream.integers(k)
+    # a rejected call draws nothing: the buffered half and the words go on as numpy's
+    assert [stream.integers(3), stream.random(), stream.integers(2**32)] == [
+        int(rng.integers(3)), rng.random(), int(rng.integers(2**32))]
+
+
 @pytest.mark.parametrize("shipped, reference", sampler_pairs())
 def test_sampler_draws_numpy_uniform_in_order(shipped, reference):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
@@ -119,6 +152,8 @@ def test_sampler_draws_numpy_uniform_in_order(shipped, reference):
 def test_suite_results_equal_with_numpy_uniform(monkeypatch, suite):
     reduce_samples(monkeypatch)
     shipped = suite(3)
+    # every reference draw through numpy's own Generator
+    monkeypatch.setattr(verify, "_Stream", np.random.default_rng)
     monkeypatch.setattr(verify, "_uniform", numpy_uniform)
     reference = suite(3)
     assert shipped == reference
