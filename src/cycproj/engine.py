@@ -12,17 +12,19 @@ auxiliary sequence y_{n+1} = P_2(x_n) with its distance diagnostics.
 
 ``iterate`` builds the trace before any cycle runs, the loop its input
 types pick fills it in place, and ``iterate`` stores the last point.  A
+trace stores points as the space's coordinates (``to_coords``), and
+``Trace.points`` decodes them through ``from_coords`` on first use.  A
 ``Plane`` with the sets ``(AxisLine(), Epigraph(eps))`` runs cycle 0 through
 the generic loop and cycles 1..n on a float kernel: x_n stays on the axis
 from n = 1 on, one call to the epigraph solver gives the feet of a block of
-cycles, the kernel fills the trace's columns for the whole block at once,
-and points are built only where the trace stores them.  Its output is
-bitwise the generic loop's: r and a are distances along one axis, where
-``math.hypot`` is exactly ``abs``, so they are numpy ``abs`` columns, while
-b and s keep ``math.hypot`` per cycle, since ``np.hypot`` can differ from
-it in the last bit.  Every other space or set tuple, including the
-reversed pair ``(Epigraph(eps), AxisLine())``, runs the generic loop
-through ``project`` and ``space.distance``.
+cycles, and the kernel fills the trace's columns, the stored coordinates
+(u, 0.0) included, for the whole block at once, with no point built.  Its
+output is bitwise the generic loop's: r and a are distances along one
+axis, where ``math.hypot`` is exactly ``abs``, so they are numpy ``abs``
+columns, while b and s keep ``math.hypot`` per cycle, since ``np.hypot``
+can differ from it in the last bit.  Every other space or set tuple,
+including the reversed pair ``(Epigraph(eps), AxisLine())``, runs the
+generic loop through ``project`` and ``space.distance``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
@@ -69,8 +71,11 @@ class Trace:
 
     Scalar diagnostics are kept for every cycle; iterate points are stored
     at every ``stride``-th cycle (in adjacent pairs, so step sizes stay
-    recomputable from stored points) plus the start, as ``points[0]``, and
-    the final point.  Arrays follow the indexing x_n = P^n(x):
+    recomputable from stored points) plus the start, as ``coords[0]``, and
+    the final point.  ``coords`` holds each stored point as the tuple
+    ``space.to_coords(p)``, aligned with ``point_indices``; the read-only
+    ``points`` decodes them through ``space.from_coords`` once per trace.
+    Arrays follow the indexing x_n = P^n(x):
 
     * ``r[n] = d(x_n, x_{n+1})`` for ``0 <= n < completed``.
     * For two sets only, with ``y_{n+1} = P_2(x_n)``:
@@ -84,11 +89,19 @@ class Trace:
     stride: int
     r: np.ndarray
     point_indices: np.ndarray
-    points: list
+    coords: list
     s: np.ndarray | None = None
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     failure: str | None = None
+    _points: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def points(self) -> list:
+        """The stored points, decoded from ``coords`` on first use."""
+        if self._points is None:
+            self._points = list(map(self.space.from_coords, self.coords))
+        return self._points
 
     @property
     def failed(self) -> bool:
@@ -146,9 +159,11 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
 
+    space._check(start)  # the error the first projection would raise
     two_sets = len(sets) == 2
     trace = Trace(space=space, sets=sets, stride=stride, r=np.empty(cycles), point_indices=[0],
-                  points=[start], s=np.full(cycles, np.nan) if two_sets else None,
+                  coords=[space.to_coords(start)],
+                  s=np.full(cycles, np.nan) if two_sets else None,
                   a=np.full(cycles + 1, np.nan) if two_sets else None,
                   b=np.full(cycles, np.nan) if two_sets else None)
 
@@ -165,7 +180,7 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
         trace.s, trace.a, trace.b = trace.s[:completed], trace.a[:completed + 1], trace.b[:completed]
     if trace.point_indices[-1] != completed:
         trace.point_indices.append(completed)
-        trace.points.append(x)
+        trace.coords.append(space.to_coords(x))
     trace.point_indices = np.asarray(trace.point_indices, dtype=np.int64)
     return trace
 
@@ -177,9 +192,9 @@ def _generic_cycles(trace: Trace, x, n: int):
     ``(completed, x)``, the cycles run and the last point reached; a
     numerical failure stops the run and is recorded as ``trace.failure``.
     """
-    space, sets, stride, points = trace.space, trace.sets, trace.stride, trace.points
+    space, sets, stride, coords = trace.space, trace.sets, trace.stride, trace.coords
     r, s_arr, a_arr, b_arr, point_indices = trace.r, trace.s, trace.a, trace.b, trace.point_indices
-    distance = space.distance
+    distance, to_coords = space.distance, space.to_coords
     y_prev = None
     for i in range(n):
         try:
@@ -197,7 +212,7 @@ def _generic_cycles(trace: Trace, x, n: int):
             y_prev = y
         if (i + 1) % stride <= 1:
             point_indices.append(i + 1)
-            points.append(x_next)
+            coords.append(to_coords(x_next))
         x = x_next
     return n, x
 
@@ -215,11 +230,13 @@ def _axis_epigraph_cycles(trace: Trace, x: PlanePoint):
     ``abs(height)``; they are taken as numpy ``abs`` over the block.  b and s
     keep ``math.hypot`` on the same operands, mapped over the block, because
     ``np.hypot`` differs from it in the last bit for a few pairs in a
-    thousand.  So the trace is bitwise the generic loop's.  Points are built
-    only where the trace stores them.  Returns ``(completed, x)``.
+    thousand.  So the trace is bitwise the generic loop's.  No point is
+    built: each foot is checked to be finite, with the generic loop's error,
+    before the next solver call, and the trace stores the kept feet's
+    coordinates (u, 0.0).  Returns ``(completed, x)``.
     """
     r, s_arr, a_arr, b_arr, n = trace.r, trace.s, trace.a, trace.b, len(trace.r)
-    point_indices, points, stride = trace.point_indices, trace.points, trace.stride
+    point_indices, coords, stride = trace.point_indices, trace.coords, trace.stride
     epsilon = trace.sets[1].epsilon
     hypot = math.hypot
     x_x, y_y = x.x, a_arr[1]  # the previous foot is (x_x, y_y)
@@ -236,16 +253,20 @@ def _axis_epigraph_cycles(trace: Trace, x: PlanePoint):
             np.abs(du, out=r[i:i + m])  # d(x, x_next) = hypot(x_x - u, 0.0)
             np.abs(height[1:], out=a_arr[i + 1:i + m + 1])  # d(x_next, y) = hypot(0.0, -height)
             du, dh = du.tolist(), (height[:-1] - height[1:]).tolist()
-            b_arr[i:i + m] = list(map(hypot, du, heights))  # d(y, x)
+            b = list(map(hypot, du, heights))  # d(y, x)
+            # b_k is finite unless foot k or k - 1 is not (or b_k overflows)
+            if not math.isfinite(sum(b)):
+                list(map(PlanePoint, us, heights))  # the generic loop's error on such a foot
+            b_arr[i:i + m] = b
             s_arr[i:i + m] = list(map(hypot, du, dh))  # d(y_prev, y)
             if stride == 1:
                 point_indices.extend(range(i + 1, i + m + 1))
-                points.extend(map(PlanePoint, us, repeat(0.0, m)))
+                coords.extend(zip(us, repeat(0.0, m)))
             else:  # the block's cycles k with k % stride <= 1
                 kept = [k for j in range(i + 1 - (i + 1) % stride, i + m + 1, stride)
                         for k in (j, j + 1) if i < k <= i + m]
                 point_indices += kept
-                points += [PlanePoint(us[k - i - 1], 0.0) for k in kept]
+                coords += [(us[k - i - 1], 0.0) for k in kept]
             i += m
             x_x, y_y = us[-1], heights[-1]
     return i, PlanePoint(x_x, 0.0)

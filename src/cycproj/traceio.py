@@ -35,20 +35,19 @@ def _fmt(value: float | None) -> str:
 def write_trace_csv(trace: Trace, path) -> None:
     """One row per cycle index 0..completed; coords only where stored."""
     space = trace.space
-    stored = {int(i): p for i, p in zip(trace.point_indices, trace.points)}
-    blank = [""] * len(space.coord_names)
+    stored = dict(zip(trace.point_indices.tolist(), trace.coords))
+    blank = (None,) * len(space.coord_names)  # _fmt writes None as an empty field
     scalars = [() if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "r", "s", "a", "b", *space.coord_names])
         for i, *values in zip_longest(range(trace.completed + 1), *scalars):
-            point = stored.get(i)
-            coords = blank if point is None else map(_fmt, space.to_coords(point))
-            writer.writerow([str(i), *map(_fmt, values), *coords])
+            writer.writerow([str(i), *map(_fmt, values), *map(_fmt, stored.get(i, blank))])
 
 
 def read_trace_csv(path) -> dict[str, list]:
-    """Read a trace CSV back into columns (floats, None for empty fields)."""
+    """Read a trace CSV back into columns (floats, None for empty fields); a row
+    with more or fewer cells than the header raises ``ValueError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         headers = next(reader, None)
@@ -56,6 +55,9 @@ def read_trace_csv(path) -> dict[str, list]:
             raise ValueError(f"{path}: empty trace file, no header row")
         columns: dict[str, list] = {h: [] for h in headers}
         for row in reader:
+            if len(row) != len(headers):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                 f"the header has {len(headers)}")
             for h, cell in zip(headers, row):
                 columns[h].append(float(cell) if cell != "" else None)
     return columns
@@ -113,7 +115,7 @@ def write_trace_json(trace: Trace, summary: dict, path) -> None:
     payload = dict(summary)
     payload["trace"] = {
         "point_indices": trace.point_indices.tolist(),
-        "points": [trace.space.to_coords(p) for p in trace.points],
+        "points": trace.coords,
         "r": _array_json(trace.r),
         "s": _array_json(trace.s),
         "a": _array_json(trace.a),

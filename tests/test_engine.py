@@ -255,7 +255,8 @@ def reference_iterate(space, sets, start, cycles, *, stride=None):
             point_indices.append(completed)
             points.append(x)
     return Trace(space=space, sets=sets, stride=stride, r=r,
-                 point_indices=np.asarray(point_indices, dtype=np.int64), points=points,
+                 point_indices=np.asarray(point_indices, dtype=np.int64),
+                 coords=list(map(space.to_coords, points)),
                  s=s_arr, a=a_arr, b=b_arr, failure=failure)
 
 
@@ -393,8 +394,9 @@ class TestAxisEpigraphKernel:
     def test_non_finite_foot_raises_before_a_later_error(self, monkeypatch, later):
         # the generic loop raises at the first non-finite foot.  A solver call
         # ends at its first failure, so a later error comes from the next
-        # call; at stride 1 the kernel builds the block's points, and so
-        # raises on the foot, before it makes that call
+        # call; the kernel checks every foot of a block before it makes that
+        # call, whether the trace stores the foot (stride 1) or not (stride 4
+        # skips cycle 3, the NaN foot's)
         import cycproj.engine
 
         calls = []
@@ -407,15 +409,19 @@ class TestAxisEpigraphKernel:
             heights += [1.5] * cycles
 
         monkeypatch.setattr(cycproj.engine, "_epigraph_feet", feet)
-        with pytest.raises(ValueError, match="x must be finite, got nan"):
-            iterate(Plane(), (AxisLine(), Epigraph(0.5)), PlanePoint(1.3, 0.0), _BLOCK + 10)
-        assert calls == [_BLOCK]
+        for stride in (1, 4):
+            calls.clear()
+            with pytest.raises(ValueError, match="x must be finite, got nan"):
+                iterate(Plane(), (AxisLine(), Epigraph(0.5)), PlanePoint(1.3, 0.0), _BLOCK + 10,
+                        stride=stride)
+            assert calls == [_BLOCK], stride
 
     @given(st.floats(-300.0, 300.0), st.floats(-323.0, 308.0))
     @settings(max_examples=500, deadline=None)
     def test_feet_from_the_axis_are_finite(self, log_eps, log_x0):
-        # the kernel stores each foot the solver appends without a check:
-        # from an axis point every foot is finite, and a failure is flagged
+        # a non-finite foot makes the kernel raise ValueError, not flag a
+        # failure: from an axis point every foot is finite, and a failure is
+        # flagged
         us, heights = [], []
         try:
             _epigraph_feet(10.0 ** log_eps, 10.0 ** log_x0, 0.0, 3, us, heights)
@@ -454,7 +460,7 @@ def synthetic_trace(r: np.ndarray) -> Trace:
         stride=1,
         r=np.asarray(r, dtype=float),
         point_indices=np.arange(len(r) + 1),
-        points=[None] * (len(r) + 1),
+        coords=[None] * (len(r) + 1),
     )
 
 

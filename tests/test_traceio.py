@@ -3,11 +3,30 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from cycproj import build_scenario, iterate, verdict
+from cycproj import ChainPoint, ProductPoint, StarPoint, build_scenario, iterate, verdict
 from cycproj.traceio import read_trace_csv, summary_dict, write_trace_csv, write_trace_json
+
+
+def decode_edges(name, space):
+    """Points beside the default start that ``trace.points`` must decode bit
+    for bit: chain heights 1 to 3 ulps below the circumference, which
+    ``TwistedChain.point``'s reduction to [0, circumference) must keep, and
+    tree-product points with a factor at its center, whose leg and -0.0
+    offset ``StarPoint`` canonicalises to (0, 0.0)."""
+    if name == "twisted-chain":
+        heights = [space.circumference]
+        for _ in range(3):
+            heights.append(math.nextafter(heights[-1], 0.0))
+        return [ChainPoint(0.06, -0.07, h) for h in heights[1:]]
+    if name == "tripod":
+        center, out = StarPoint(2, -0.0), StarPoint(2, 0.25)
+        return [ProductPoint(center, out), ProductPoint(out, center),
+                ProductPoint(center, center)]
+    return []
 
 
 @pytest.mark.parametrize("name, params, expected_headers", [
@@ -19,11 +38,12 @@ def test_point_row_roundtrip(name, params, expected_headers):
     scenario = build_scenario(name, **params)
     space = scenario.space
     assert list(space.coord_names) == expected_headers
-    start = scenario.start()
-    row = space.to_coords(start)
-    assert len(row) == len(expected_headers)
-    back = space.from_coords(row)
-    assert space.distance(start, back) <= 1e-15
+    for point in [scenario.start(), *decode_edges(name, space)]:
+        row = space.to_coords(point)
+        assert len(row) == len(expected_headers)
+        back = space.from_coords(row)
+        assert repr(back) == repr(point)  # bit for bit, -0.0 included
+        assert space.to_coords(back) == row
 
 
 @pytest.mark.parametrize("name, values", [
@@ -80,6 +100,15 @@ def test_json_payload_is_valid_json_with_nulls(tmp_path):
     assert payload["trace"]["s"][0] is None
     assert len(payload["trace"]["r"]) == 10
     assert payload["n"] == 10
+
+
+@pytest.mark.parametrize("row", ["1,0.25,0.1", "1,0.25,0.1,,0.2,1.5,0.0,7"])
+def test_csv_row_of_the_wrong_width_names_the_file_and_line(tmp_path, row):
+    # a short row would shift every later value of its columns by one index
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"n,r,s,a,b,x,y\n0,0.5,,,0.25,1.0,0.0\n{row}\n2,0.2,,,0.1,1.2,0.0\n")
+    with pytest.raises(ValueError, match=r"ragged.csv: line 3 has \d cells, the header has 7"):
+        read_trace_csv(path)
 
 
 def test_empty_csv_names_the_file(tmp_path):

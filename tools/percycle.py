@@ -1,5 +1,6 @@
-"""Print the cost of one cycle per scenario and of one projector call per
-solver tag: README's per-cycle table, and the per-call layer below it.
+"""Print the cost of one cycle per scenario, of one projector call per
+solver tag and of one exported row: README's per-cycle table, and the
+per-call and export layers below it.
 
     python3 tools/percycle.py
 
@@ -13,20 +14,30 @@ times, in µs per call:
 ``exact_piecewise`` (``project``) and ``golden_section``
 (``project_segment_generic``) from the tripod's start onto its first
 segment, ``closed_form`` from the chain's start onto its second disc, and
-``newton`` from (1, 0) onto the plane's epigraph.  The library is imported
-from this checkout's ``src/``.
+``newton`` from (1, 0) onto the plane's epigraph.  The third times the
+export layer on one 10^4-cycle twisted-chain trace from its default start,
+15 times, in µs per row (cycle index 0..n): ``write_trace_csv``,
+``write_trace_json`` and ``read_trace_csv`` of that CSV, and ``Trace.points``,
+decoding every stored point (one per row) from a fresh copy of the trace.
+Files go to a temporary directory.  The library is imported from this
+checkout's ``src/``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cycproj import PlanePoint, build_scenario, iterate, project, project_segment_generic  # noqa: E402
+from cycproj import (  # noqa: E402
+    PlanePoint, build_scenario, iterate, project, project_segment_generic, verdict)
+from cycproj.traceio import (  # noqa: E402
+    read_trace_csv, summary_dict, write_trace_csv, write_trace_json)
 
 SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets")
 # (row label, scenario, stride): the first table's rows
@@ -35,6 +46,7 @@ ROWS = (*((name, name, 1) for name in SCENARIOS),
 RUNS = 15
 CYCLES = 2000
 CALLS = 200
+EXPORT_CYCLES = 10_000
 
 
 def per_cycle_us(name: str, runs: int, cycles: int, stride: int = 1) -> list[float]:
@@ -76,7 +88,31 @@ def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list
     return times
 
 
-def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
+def export_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
+    """(layer, µs per row of each of ``runs`` runs) on one ``cycles``-cycle chain trace."""
+    scenario = build_scenario("twisted-chain")
+    trace = iterate(scenario.space, scenario.sets, scenario.start(), cycles)
+    summary = summary_dict(trace, verdict(trace), scenario=scenario.name,
+                           params=dict(scenario.params))
+    rows = trace.completed + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp) / "trace.csv", Path(tmp) / "trace.json"
+        layers = [("write_trace_csv", lambda: write_trace_csv(trace, csv_path)),
+                  ("write_trace_json", lambda: write_trace_json(trace, summary, json_path)),
+                  ("read_trace_csv", lambda: read_trace_csv(csv_path)),
+                  ("Trace.points", lambda: dataclasses.replace(trace).points)]
+        out = []
+        for layer, run in layers:
+            times = []
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                run()
+                times.append((time.perf_counter() - t0) / rows * 1e6)
+            out.append((layer, times))
+    return out
+
+
+def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYCLES) -> int:
     print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
           f"{platform.python_version()}, {platform.machine()}")
     print(f"{'scenario':<25} {'min us/cycle':>12} {'max us/cycle':>12}")
@@ -88,6 +124,10 @@ def main(runs: int = RUNS, cycles: int = CYCLES) -> int:
     for tag, projector, args in projector_calls():
         times = per_call_us(tag, projector, args, runs, CALLS)
         print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
+    print(f"# min of {runs} runs on one {export_cycles}-cycle twisted-chain trace")
+    print(f"{'export layer':<25} {'min us/row':>12} {'max us/row':>12}")
+    for layer, times in export_us(runs, export_cycles):
+        print(f"{layer:<25} {min(times):>12.2f} {max(times):>12.2f}")
     return 0
 
 
