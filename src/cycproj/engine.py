@@ -63,11 +63,12 @@ __all__ = [
 _DECIMATION_THRESHOLD = 100_000
 _POINTS_KEPT = 10_000
 _BLOCK = 256  # cycles the two-set kernel solves per call of the epigraph solver
+_FIT_CHUNK = 1 << 16  # window indices rate_fit reads at a time
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Record of an iteration run.
+    """Record of an iteration run; ``==`` is identity, so it never compares arrays.
 
     Scalar diagnostics are kept for every cycle; iterate points are stored
     at every ``stride``-th cycle (in adjacent pairs, so step sizes stay
@@ -94,7 +95,7 @@ class Trace:
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     failure: str | None = None
-    _points: list | None = field(default=None, init=False, repr=False, compare=False)
+    _points: list | None = field(default=None, init=False, repr=False)
 
     @property
     def points(self) -> list:
@@ -382,24 +383,48 @@ class RateFit:
 
 
 def rate_fit(trace: Trace, window: tuple[int, int]) -> RateFit:
-    """Least-squares slope of log r_n against log n over an index window."""
+    """Least-squares line of y = log r_n against x = log n over the window [lo, hi].
+
+    The window is clipped to ``completed - 1`` and zero steps are left out,
+    with a warning.  The line is the closed form: slope Sxy / Sxx, from the
+    centred sums Σ(x - x̄)² and Σ(x - x̄)(y - ȳ), and intercept ȳ - slope · x̄.
+    The window is walked ``_FIT_CHUNK`` indices at a time, so no temporary
+    is longer than a chunk and no LAPACK routine runs.  A chunk's sums,
+    pairwise summed about its own means, are folded into exact rational
+    totals: Chan, Golub and LeVeque's pairwise update with no rounding.
+    """
     lo, hi = window
+    if not (isinstance(lo, numbers.Integral) and isinstance(hi, numbers.Integral)):
+        raise TypeError(f"window bounds must be integers, got {window!r}")
     if lo < 1 or hi <= lo:
         raise ValueError(f"window must satisfy 1 <= lo < hi, got {window!r}")
     hi = min(hi, trace.completed - 1)
     if hi <= lo:
         raise ValueError(f"window {window!r} lies outside the trace (n={trace.completed})")
-    idx = np.arange(lo, hi + 1)
-    values = trace.r[lo : hi + 1]
-    positive = values > 0.0
-    zeros = int(np.count_nonzero(~positive))
+    from fractions import Fraction  # loaded on the first fit, as it imports decimal
+    count = zeros = 0
+    sx = sy = sxx = sxy = Fraction(0)  # the window's sums of x, y, x² and xy
+    r = trace.r[:hi + 1]
+    for start in range(lo, hi + 1, _FIT_CHUNK):
+        values = r[start:start + _FIT_CHUNK]
+        positive = values > 0.0
+        x, y = np.log(np.arange(start, start + len(values))[positive]), np.log(values[positive])
+        zeros += len(values) - len(x)
+        if k := len(x):
+            mx, my = float(x.mean()), float(y.mean())
+            x -= mx
+            y -= my
+            dx, dy, dxx, dxy = (Fraction(float(np.sum(v))) for v in (x, y, x * x, x * y))
+            mx, my, count = Fraction(mx), Fraction(my), count + k
+            sx, sy = sx + k * mx + dx, sy + k * my + dy
+            sxx += dxx + (2 * dx + k * mx) * mx
+            sxy += dxy + dy * mx + (dx + k * mx) * my
     if zeros:
         warnings.warn(f"rate_fit: excluded {zeros} zero step(s) from the window")
-    idx, values = idx[positive], values[positive]
-    if len(idx) < 2:
+    if count < 2:
         raise ValueError("not enough positive steps in the window to fit a rate")
-    slope, intercept = np.polyfit(np.log(idx), np.log(values), 1)
-    return RateFit(float(slope), float(intercept), int(len(idx)), zeros)
+    slope = (sxy - sx * sy / count) / (sxx - sx * sx / count)
+    return RateFit(float(slope), float((sy - slope * sx) / count), count, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from cycproj import (
     two_set_diagnostics,
     verdict,
 )
-from cycproj.engine import _BLOCK
+from cycproj.engine import _BLOCK, _FIT_CHUNK
 from cycproj.projections import _epigraph_feet
 
 DELTA = math.sqrt(2.0) / 4.0
@@ -127,6 +131,11 @@ class TestIterate:
         kept = set(int(i) for i in trace.point_indices)
         assert {0, 1, 50, 51, 100, 101, 150, 151, 200} <= kept
         assert len(trace.r) == 200  # scalars never decimated
+
+    def test_equality_is_identity(self, tripod):
+        runs = [iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 5) for _ in range(2)]
+        assert runs[0] == runs[0]
+        assert (runs[0] == runs[1]) is False
 
     def test_partial_trace_on_numerical_failure(self):
         scenario = build_plane_two_sets(1.0)
@@ -489,6 +498,61 @@ class TestRateFit:
             rate_fit(trace, (0, 5))
         with pytest.raises(ValueError):
             rate_fit(trace, (9, 30))
+        long_trace = synthetic_trace(np.ones(200))
+        for window in [(10.0, 100.0), (10, 100.0), (np.float64(10), 100)]:
+            message = f"window bounds must be integers, got {window!r}"
+            with pytest.raises(TypeError, match=re.escape(message)):
+                rate_fit(long_trace, window)
+        fit = rate_fit(long_trace, (np.int64(10), np.int64(100)))
+        assert (fit.slope, fit.count) == (0.0, 91)
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros"])
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+    def test_no_farther_from_the_exact_fit_than_polyfit(self, eps, zeros):
+        scenario = build_plane_two_sets(eps)
+        r = iterate(scenario.space, scenario.sets, scenario.start(), 5000).r.copy()
+        if zeros:
+            r[50::97] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the zero steps' warning
+            fit = rate_fit(synthetic_trace(r), (50, 4999))
+        n = np.arange(50, 5000)[r[50:] > 0.0]
+        x, y = np.log(n), np.log(r[n])
+        assert fit.count == len(n)
+        # the least-squares line through the same float points, in exact rationals
+        xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = (sum((u - x_mean) * (v - y_mean) for u, v in zip(xs, ys))
+                 / sum((u - x_mean) ** 2 for u in xs))
+        exact = (slope, y_mean - slope * x_mean)
+        old = np.polyfit(x, y, 1).tolist()
+        for new, ref, want in zip((fit.slope, fit.intercept), old, exact):
+            assert abs(Fraction(new) - want) <= abs(Fraction(ref) - want)
+
+    def test_chunks_join_like_polyfit(self):
+        lo = 10
+        hi = lo + 2 * _FIT_CHUNK  # three chunks, the last of them one index long
+        n = np.arange(hi + 1, dtype=float)
+        r = 3.0 * np.maximum(n, 1.0) ** -0.6 * (1.0 + 0.1 * np.sin(n))
+        fit = rate_fit(synthetic_trace(r), (lo, hi + 5))
+        slope, intercept = np.polyfit(np.log(n[lo:]), np.log(r[lo:]), 1)
+        assert fit.count == hi - lo + 1
+        assert fit.slope == pytest.approx(slope, rel=1e-13)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-13)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        n = np.arange(2 * 10**6 + 1, dtype=float)
+        n[0] = 1.0
+        trace = synthetic_trace(n ** -0.6)  # r[i] = i**-0.6
+        del n
+        tracemalloc.start()
+        try:
+            fit = rate_fit(trace, (1, 2 * 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.slope == pytest.approx(-0.6, rel=1e-12)
+        assert peak < 16 * 2**20
 
 
 class TestVerdict:

@@ -1,6 +1,6 @@
 """Print the cost of one cycle per scenario, of one projector call per
-solver tag and of one exported row: README's per-cycle table, and the
-per-call and export layers below it.
+solver tag, of one exported row and of one diagnostics call: README's
+per-cycle table, and the per-call, export and diagnostics layers below it.
 
     python3 tools/percycle.py
 
@@ -19,6 +19,9 @@ export layer on one 10^4-cycle twisted-chain trace from its default start,
 15 times, in µs per row (cycle index 0..n): ``write_trace_csv``,
 ``write_trace_json`` and ``read_trace_csv`` of that CSV, and ``Trace.points``,
 decoding every stored point (one per row) from a fresh copy of the trace.
+The fourth times the diagnostics layer on one 10^5-cycle plane-two-sets
+trace from its default start, 15 times, in µs per call:
+``two_set_diagnostics``, ``rate_fit`` over [n/10, n] and ``verdict``.
 Files go to a temporary directory.  The library is imported from this
 checkout's ``src/``.
 """
@@ -35,7 +38,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cycproj import (  # noqa: E402
-    PlanePoint, build_scenario, iterate, project, project_segment_generic, verdict)
+    PlanePoint, build_scenario, iterate, project, project_segment_generic, rate_fit,
+    two_set_diagnostics, verdict)
 from cycproj.traceio import (  # noqa: E402
     read_trace_csv, summary_dict, write_trace_csv, write_trace_json)
 
@@ -47,6 +51,7 @@ RUNS = 15
 CYCLES = 2000
 CALLS = 200
 EXPORT_CYCLES = 10_000
+DIAGNOSTICS_CYCLES = 100_000
 
 
 def per_cycle_us(name: str, runs: int, cycles: int, stride: int = 1) -> list[float]:
@@ -88,6 +93,20 @@ def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list
     return times
 
 
+def timed_us(layers: list, runs: int, per: int) -> list[tuple[str, list[float]]]:
+    """(layer, µs per unit of each of ``runs`` runs) of each (layer, call) in ``layers``,
+    where one call does ``per`` units."""
+    out = []
+    for layer, run in layers:
+        times = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            run()
+            times.append((time.perf_counter() - t0) / per * 1e6)
+        out.append((layer, times))
+    return out
+
+
 def export_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
     """(layer, µs per row of each of ``runs`` runs) on one ``cycles``-cycle chain trace."""
     scenario = build_scenario("twisted-chain")
@@ -97,22 +116,25 @@ def export_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
     rows = trace.completed + 1
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, json_path = Path(tmp) / "trace.csv", Path(tmp) / "trace.json"
-        layers = [("write_trace_csv", lambda: write_trace_csv(trace, csv_path)),
-                  ("write_trace_json", lambda: write_trace_json(trace, summary, json_path)),
-                  ("read_trace_csv", lambda: read_trace_csv(csv_path)),
-                  ("Trace.points", lambda: dataclasses.replace(trace).points)]
-        out = []
-        for layer, run in layers:
-            times = []
-            for _ in range(runs):
-                t0 = time.perf_counter()
-                run()
-                times.append((time.perf_counter() - t0) / rows * 1e6)
-            out.append((layer, times))
-    return out
+        return timed_us([
+            ("write_trace_csv", lambda: write_trace_csv(trace, csv_path)),
+            ("write_trace_json", lambda: write_trace_json(trace, summary, json_path)),
+            ("read_trace_csv", lambda: read_trace_csv(csv_path)),
+            ("Trace.points", lambda: dataclasses.replace(trace).points)], runs, rows)
 
 
-def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYCLES) -> int:
+def diagnostics_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
+    """(call, µs per call of each of ``runs`` runs) on one ``cycles``-cycle
+    plane-two-sets trace."""
+    scenario = build_scenario("plane-two-sets")
+    trace = iterate(scenario.space, scenario.sets, scenario.start(), cycles)
+    return timed_us([("two_set_diagnostics", lambda: two_set_diagnostics(trace)),
+                     ("rate_fit", lambda: rate_fit(trace, (cycles // 10, cycles))),
+                     ("verdict", lambda: verdict(trace))], runs, 1)
+
+
+def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYCLES,
+         diagnostics_cycles: int = DIAGNOSTICS_CYCLES) -> int:
     print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
           f"{platform.python_version()}, {platform.machine()}")
     print(f"{'scenario':<25} {'min us/cycle':>12} {'max us/cycle':>12}")
@@ -127,6 +149,10 @@ def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYC
     print(f"# min of {runs} runs on one {export_cycles}-cycle twisted-chain trace")
     print(f"{'export layer':<25} {'min us/row':>12} {'max us/row':>12}")
     for layer, times in export_us(runs, export_cycles):
+        print(f"{layer:<25} {min(times):>12.2f} {max(times):>12.2f}")
+    print(f"# min of {runs} runs on one {diagnostics_cycles}-cycle plane-two-sets trace")
+    print(f"{'diagnostics layer':<25} {'min us/call':>12} {'max us/call':>12}")
+    for layer, times in diagnostics_us(runs, diagnostics_cycles):
         print(f"{layer:<25} {min(times):>12.2f} {max(times):>12.2f}")
     return 0
 
