@@ -16,13 +16,14 @@ trace stores points as the space's coordinates (``to_coords``), and
 ``Trace.points`` decodes them through ``from_coords`` on first use.  A
 ``Plane`` with the sets ``(AxisLine(), Epigraph(eps))`` runs cycle 0 through
 the generic loop and cycles 1..n on a float kernel: x_n stays on the axis
-from n = 1 on, one call to the epigraph solver gives the feet of a block of
-cycles, and the kernel fills the trace's columns, the stored coordinates
-(u, 0.0) included, for the whole block at once, with no point built.  Its
-output is bitwise the generic loop's: r and a are distances along one
-axis, where ``math.hypot`` is exactly ``abs``, so they are numpy ``abs``
-columns, while b and s keep ``math.hypot`` per cycle, since ``np.hypot``
-can differ from it in the last bit.  Every other space or set tuple,
+from n = 1 on, one call to the epigraph solve for axis points (``project``
+keeps the one-point solve) gives the feet of a block of cycles, and the
+kernel fills the trace's columns, the stored coordinates (u, 0.0)
+included, for the whole block at once, with no point built.  Its output
+is bitwise the generic loop's: r and a are distances along one axis, where
+``math.hypot`` is exactly ``abs``, so they are numpy ``abs`` columns, while
+b and s keep ``math.hypot`` per cycle, since ``np.hypot`` can differ from
+it in the last bit.  Every other space or set tuple,
 including the reversed pair ``(Epigraph(eps), AxisLine())``, runs the
 generic loop through ``project`` and ``space.distance``.
 """
@@ -63,7 +64,7 @@ __all__ = [
 _DECIMATION_THRESHOLD = 100_000
 _POINTS_KEPT = 10_000
 _BLOCK = 256  # cycles the two-set kernel solves per call of the epigraph solver
-_FIT_CHUNK = 1 << 16  # window indices rate_fit reads at a time
+_FIT_CHUNK = 1 << 16  # indices rate_fit and two_set_diagnostics read at a time
 
 
 @dataclass(eq=False)
@@ -148,7 +149,7 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     cycles k with ``k % stride <= 1``; the last point is stored here.
     """
     for name, value in (("cycles", cycles), ("stride", stride)):
-        if value is not None and not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral | None):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     sets = tuple(sets)
     if not sets:
@@ -224,11 +225,11 @@ def _axis_epigraph_cycles(trace: Trace, x: PlanePoint):
     ``x`` is x_1, on the axis, and cycle 0 is already in ``trace``.  A cycle
     projects x = (x_x, 0) onto the epigraph, giving the foot y = (u, height),
     and y onto the axis, giving (u, 0).  The previous foot is (x_1.x, a_1),
-    since a_1 = d(x_1, y_1) is its height.  :func:`_epigraph_feet` solves the
-    feet ``_BLOCK`` cycles per call, and each column is then written for the
-    block in one slice.  ``Plane.distance``'s ``hypot(x_x - u, 0.0)`` for r
-    and ``hypot(0.0, -height)`` for a are exactly ``abs(x_x - u)`` and
-    ``abs(height)``; they are taken as numpy ``abs`` over the block.  b and s
+    since a_1 = d(x_1, y_1) is its height.  :func:`_epigraph_feet`, the solve
+    for axis points only, gives the feet ``_BLOCK`` cycles per call, and each
+    column is then written for the block in one slice.  ``Plane.distance``'s
+    ``hypot(x_x - u, 0.0)`` for r and ``hypot(0.0, -height)`` for a are exactly
+    ``abs(x_x - u)`` and ``abs(height)``; they are numpy ``abs`` over the block.  b and s
     keep ``math.hypot`` on the same operands, mapped over the block, because
     ``np.hypot`` differs from it in the last bit for a few pairs in a
     thousand.  So the trace is bitwise the generic loop's.  No point is
@@ -245,7 +246,7 @@ def _axis_epigraph_cycles(trace: Trace, x: PlanePoint):
     while i < n and trace.failure is None:
         us, heights = [], []
         try:
-            _epigraph_feet(epsilon, x_x, 0.0, min(_BLOCK, n - i), us, heights)
+            _epigraph_feet(epsilon, x_x, min(_BLOCK, n - i), us, heights)
         except NumericalFailureError as exc:
             trace.failure = str(exc)
         if m := len(us):
@@ -333,22 +334,27 @@ def two_set_diagnostics(trace: Trace) -> TwoSetReport:
     r, s, a, b = trace.r, trace.s, trace.a, trace.b
     inf = math.inf
 
+    def least(terms, lo: int, hi: int) -> float:  # min of terms(i, j), a chunk at a time
+        return float(np.min([np.min(terms(i, min(i + _FIT_CHUNK, hi)))
+                             for i in range(lo, hi, _FIT_CHUNK)]))
+
     margins_step = [inf]
     margins_gap = [inf]
     margins_energy = [inf]
     if n >= 2:
         # valid ranges: s[1..n-1], a[1..n], b[0..n-1], r[0..n-1]
-        margins_step.append(float(np.min(s[1:n] - r[1:n])))
-        margins_gap.append(float(np.min(a[1:n] - b[1:n])))
-        margins_gap.append(float(np.min(b[1:n] - a[2 : n + 1])))
-        margins_energy.append(float(np.min(b[1:n] ** 2 - a[2 : n + 1] ** 2 - r[1:n] ** 2)))
+        margins_step.append(least(lambda i, j: s[i:j] - r[i:j], 1, n))
+        margins_gap.append(least(lambda i, j: a[i:j] - b[i:j], 1, n))
+        margins_gap.append(least(lambda i, j: b[i:j] - a[i + 1:j + 1], 1, n))
+        margins_energy.append(least(lambda i, j: b[i:j] ** 2 - a[i + 1:j + 1] ** 2 - r[i:j] ** 2,
+                                    1, n))
     if n >= 3:
-        margins_step.append(float(np.min(r[1 : n - 1] - s[2:n])))
+        margins_step.append(least(lambda i, j: r[i:j] - s[i + 1:j + 1], 1, n - 1))
 
     step_margin = min(margins_step)
     gap_margin = min(margins_gap)
     energy_margin = min(margins_energy)
-    mono_margin = float(np.min(r[:-1] - r[1:])) if n >= 2 else inf
+    mono_margin = least(lambda i, j: r[i:j] - r[i + 1:j + 1], 0, n - 1) if n >= 2 else inf
 
     sum_r_sq = _sum_r_sq(trace)
     b1_sq = float(b[1] ** 2) if n >= 2 else inf
@@ -394,7 +400,7 @@ def rate_fit(trace: Trace, window: tuple[int, int]) -> RateFit:
     totals: Chan, Golub and LeVeque's pairwise update with no rounding.
     """
     lo, hi = window
-    if not (isinstance(lo, numbers.Integral) and isinstance(hi, numbers.Integral)):
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (lo, hi)):
         raise TypeError(f"window bounds must be integers, got {window!r}")
     if lo < 1 or hi <= lo:
         raise ValueError(f"window must satisfy 1 <= lo < hi, got {window!r}")

@@ -9,7 +9,9 @@ records which code path produced the point:
   product of star trees, center-crossing ones included.
 * ``golden_section`` -- the generic 1-D search along a geodesic segment.
 * ``newton`` -- the bracketed Newton solve on the epigraph boundary, for
-  the increment of the foot over the projected point's x.
+  the increment of the foot over the projected point's x: ``_epigraph_foot``
+  for :func:`project`, and its axis-only copy ``_epigraph_feet``, with the
+  same bits, for the two-set kernel in :mod:`cycproj.engine`.
 
 Projections onto closed convex subsets of a CAT(0) space are unique and
 nonexpanding; a tie detected anywhere is treated as a modeling error, never
@@ -396,94 +398,11 @@ def _geometric_bracket(epsilon: float, x0: float, y0: float) -> tuple[float, ...
     return (lo, hi, d) + _epigraph_stationarity(epsilon, x0, y0, 0.0, d)
 
 
-def _epigraph_feet(epsilon: float, x0: float, y0: float, cycles: int,
-                   us: list, heights: list) -> None:
-    """Run ``cycles`` cycles of the axis-epigraph iteration from (x0, y0) on floats.
+def _epigraph_foot(epsilon: float, x0: float, y0: float) -> tuple[float, float]:
+    """The one-point solve: the epigraph foot (u, height) of (x0, y0) outside the set.
 
-    Each cycle appends the epigraph foot (u, height) of the current point, which
-    lies outside the set, to ``us`` and ``heights`` and drops it onto the axis at
-    (u, 0.0), as the two-set kernel's cycles 1..n do.  u**(-epsilon) is carried
-    from each height to the next, and g and g' are evaluated inline as in
-    :func:`_epigraph_stationarity`.  A failure, a power past float range in a solve
-    included, raises :class:`NumericalFailureError`; earlier feet stay in the lists.
-    """
-    neg_eps, eps1 = -epsilon, epsilon + 1.0
-    u_append, height_append = us.append, heights.append
-    try:
-        e = x0 ** neg_eps if x0 > 0.0 else 0.0
-    except OverflowError:  # +inf, as in _boundary_height: h(x0) is +inf too
-        e = math.inf
-    try:
-        for _ in range(cycles):
-            h0 = math.inf
-            if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
-                k = epsilon * e / x0
-                tail = 1.0 + e - y0
-                g = 0.0 - k * tail
-                gp = 1.0 + eps1 * (k / x0) * tail + k * k
-                # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
-                h0 = 0.0 - g
-            if h0 <= x0:
-                if x0 + h0 == x0:
-                    raise NumericalFailureError(
-                        f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
-                        f"one ulp of x0: the bracket width {h0!r} does not move x0"
-                    )
-                base, lo, hi, d = x0, 0.0, h0, 0.0
-            else:
-                base = 0.0
-                lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
-
-            ax, ay = abs(x0), abs(y0)  # the limit is _TOL * max(1.0, ax, ay), without a call
-            scale = ax if ax >= ay else ay
-            limit = _TOL * scale if scale > 1.0 else _TOL
-            steps = _MAX_NEWTON
-            while not abs(g) <= limit:
-                if g > 0.0:
-                    hi = d
-                else:
-                    lo = d
-                d_next = d - g / gp
-                if not (lo < d_next < hi):
-                    d_next = 0.5 * (lo + hi)
-                d = d_next
-                u = base + d
-                e = u ** neg_eps
-                k = epsilon * e / u
-                tail = 1.0 + e - y0
-                g = (d - (x0 - base)) - k * tail
-                gp = 1.0 + eps1 * (k / u) * tail + k * k
-                steps -= 1
-                if not steps:  # the residual after the last allowed step is not tested
-                    raise NumericalFailureError(
-                        f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), "
-                        f"epsilon={epsilon!r}"
-                    )
-
-            # One unguarded Newton step from the converged residual pushes the foot
-            # to machine precision; the two-set step-size chains are checked with
-            # 1e-12 slack downstream.
-            d -= g / gp
-            u = base + d
-            e = u ** neg_eps
-            u_append(u)
-            height_append(1.0 + e)
-            x0, y0 = u, 0.0
-    except OverflowError:  # a power u**(-epsilon) past float range in a solve
-        raise NumericalFailureError(
-            f"epigraph power overflowed projecting ({x0!r}, {y0!r}), epsilon={epsilon!r}"
-        ) from None
-
-
-def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
-    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)}.
-
-    Points already in the set are returned unchanged.  Otherwise the foot is
-    the unique root of the stationarity function g(u) = (u - x0) - h(u)
-    along the boundary (see :func:`_epigraph_stationarity`): outside points
-    sit on the convex side of the boundary curve.  The solve is one cycle of
-    :func:`_epigraph_feet`, which the two-set kernel in :mod:`cycproj.engine`
-    runs for a block of cycles per call from cycle 1 on.
+    :func:`project` runs it, and :func:`_epigraph_feet` where it has no local
+    bracket.  The foot is the unique root of :func:`_epigraph_stationarity`'s g.
 
     For x0 > 0 the root is solved for the increment d = u - x0 on the
     closed-form bracket [0, h(x0)]: g(x0) = -h(x0) < 0, and h decreases
@@ -502,12 +421,132 @@ def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
     and stops once |g| <= ``_TOL`` * max(1, |x0|, |y0|).  A power past
     float range in the solve raises :class:`NumericalFailureError`.
     """
+    try:
+        e = x0 ** -epsilon if x0 > 0.0 else 0.0
+    except OverflowError:  # +inf, as in _boundary_height: h(x0) is +inf too
+        e = math.inf
+    try:
+        h0 = math.inf
+        if x0 > 0.0:  # g and g' at d = 0, where u is x0 itself
+            k = epsilon * e / x0
+            tail = 1.0 + e - y0
+            g = 0.0 - k * tail
+            gp = 1.0 + (epsilon + 1.0) * (k / x0) * tail + k * k
+            # 0.0 - g rather than -g: an h(x0) that underflows reads 0.0, not -0.0
+            h0 = 0.0 - g
+        if not h0 <= x0:
+            base = 0.0
+            lo, hi, d, g, gp = _geometric_bracket(epsilon, x0, y0)
+        elif x0 + h0 == x0:
+            raise NumericalFailureError(
+                f"epigraph foot from ({x0!r}, {y0!r}), epsilon={epsilon!r}, lies within "
+                f"one ulp of x0: the bracket width {h0!r} does not move x0"
+            )
+        else:
+            base, lo, hi, d = x0, 0.0, h0, 0.0
+
+        ax, ay = abs(x0), abs(y0)  # the limit is _TOL * max(1.0, ax, ay), without a call
+        scale = ax if ax >= ay else ay
+        limit = _TOL * scale if scale > 1.0 else _TOL
+        steps = _MAX_NEWTON
+        while not abs(g) <= limit:
+            if g > 0.0:
+                hi = d
+            else:
+                lo = d
+            d_next = d - g / gp  # bisect where the step leaves the bracket
+            d = d_next if lo < d_next < hi else 0.5 * (lo + hi)
+            g, gp = _epigraph_stationarity(epsilon, x0, y0, base, d)
+            steps -= 1
+            if not steps:  # the residual after the last allowed step is not tested
+                raise NumericalFailureError(
+                    f"epigraph Newton failed to converge from ({x0!r}, {y0!r}), "
+                    f"epsilon={epsilon!r}"
+                )
+
+        # One unguarded Newton step from the converged residual pushes the foot
+        # to machine precision; the two-set step-size chains are checked with
+        # 1e-12 slack downstream.
+        u = base + (d - g / gp)
+        return u, 1.0 + u ** -epsilon
+    except OverflowError:  # a power u**(-epsilon) past float range in a solve
+        raise NumericalFailureError(
+            f"epigraph power overflowed projecting ({x0!r}, {y0!r}), epsilon={epsilon!r}"
+        ) from None
+
+
+def _epigraph_feet(epsilon: float, x0: float, cycles: int, us: list, heights: list) -> None:
+    """Append the feet (u, height) of ``cycles`` two-set kernel cycles from the axis point (x0, 0).
+
+    A cycle with a usable local bracket (x0 > 0, h(x0) <= x0) runs
+    :func:`_epigraph_foot`'s solve inline with y0 = 0 and base = x0, which drop
+    out of its arithmetic exactly; any other calls :func:`_epigraph_foot`, so
+    the feet and errors are its own.  Earlier feet stay in the lists on a failure.
+    """
+    neg_eps, eps1 = -epsilon, epsilon + 1.0
+    u_append, height_append = us.append, heights.append
+    try:
+        e = x0 ** neg_eps if x0 > 0.0 else 0.0
+    except OverflowError:  # +inf, as in _boundary_height: h(x0) is +inf too
+        e = math.inf
+    try:
+        for _ in range(cycles):
+            h0 = math.inf
+            if x0 > 0.0:  # g at d = 0; 1.0 + e - 0.0 is 1.0 + e
+                k = epsilon * e / x0
+                tail = 1.0 + e
+                g = 0.0 - k * tail
+                h0 = 0.0 - g
+            if not h0 <= x0:  # no local bracket, in practice from a start near the y-axis
+                u, height = _epigraph_foot(epsilon, x0, 0.0)
+                e = u ** neg_eps
+            elif x0 + h0 == x0:
+                raise NumericalFailureError(
+                    f"epigraph foot from ({x0!r}, {0.0!r}), epsilon={epsilon!r}, lies within "
+                    f"one ulp of x0: the bracket width {h0!r} does not move x0"
+                )
+            else:
+                gp = 1.0 + eps1 * (k / x0) * tail + k * k
+                lo, hi, d = 0.0, h0, 0.0
+                limit = _TOL * x0 if x0 > 1.0 else _TOL  # _TOL * max(1, |x0|, |0.0|)
+                steps = _MAX_NEWTON
+                while not -limit <= g <= limit:
+                    if g > 0.0:
+                        hi = d
+                    else:
+                        lo = d
+                    d_next = d - g / gp  # bisect where the step leaves the bracket
+                    d = d_next if lo < d_next < hi else 0.5 * (lo + hi)
+                    u = x0 + d
+                    e = u ** neg_eps
+                    k = epsilon * e / u
+                    tail = 1.0 + e
+                    g = d - k * tail  # d - (x0 - x0) is d
+                    gp = 1.0 + eps1 * (k / u) * tail + k * k
+                    steps -= 1
+                    if not steps:
+                        raise NumericalFailureError(
+                            f"epigraph Newton failed to converge from ({x0!r}, {0.0!r}), "
+                            f"epsilon={epsilon!r}"
+                        )
+                u = x0 + (d - g / gp)
+                e = u ** neg_eps
+                height = 1.0 + e
+            u_append(u)
+            height_append(height)
+            x0 = u
+    except OverflowError:
+        raise NumericalFailureError(
+            f"epigraph power overflowed projecting ({x0!r}, {0.0!r}), epsilon={epsilon!r}"
+        ) from None
+
+
+def _project_epigraph(epsilon: float, x: PlanePoint) -> ProjectionResult:
+    """Project onto {(x, y) : x > 0, y >= 1 + x**(-epsilon)} by :func:`_epigraph_foot`."""
     x0, y0 = x.x, x.y
     if x0 > 0.0 and y0 >= _boundary_height(epsilon, x0):
         return ProjectionResult(x, 0.0, "closed_form")
-    us, heights = [], []
-    _epigraph_feet(epsilon, x0, y0, 1, us, heights)
-    u, height = us[0], heights[0]
+    u, height = _epigraph_foot(epsilon, x0, y0)
     return ProjectionResult(PlanePoint(u, height), math.hypot(u - x0, height - y0), "newton")
 
 

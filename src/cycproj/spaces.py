@@ -375,7 +375,7 @@ class TwistedChain:
     circumference: float
     twist: float
     disc_heights: tuple[float, float, float] = field(init=False)
-    # (cos k*twist, sin k*twist, k*circumference) for |k| <= the lift window
+    # (cos k*twist, sin k*twist, k*circumference) for |k| <= the lift window, nearest first
     _lifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -404,7 +404,7 @@ class TwistedChain:
         window = 1 + math.ceil(reach)
         object.__setattr__(self, "_lifts", tuple(
             (math.cos(k * self.twist), math.sin(k * self.twist), k * lam)
-            for k in range(-window, window + 1)
+            for k in sorted(range(-window, window + 1), key=abs)
         ))
 
     coord_names = ("u", "v", "height")
@@ -460,7 +460,9 @@ class TwistedChain:
 
         The lift ``k`` places q at disc coordinates ``R_{k*twist}(q)`` and
         height ``q.height + k*circumference``.  The scanned lifts, fixed per
-        chain from its radius and circumference, contain the nearest one.
+        chain from its radius and circumference, contain the nearest one.  They
+        are scanned nearest first, skipping a lift whose dz**2 alone reaches the
+        best so far: fl(du**2 + dv**2 + dz**2) >= dz**2, so the bits are the full scan's.
         """
         # Canonical argument order makes d(p, q) and d(q, p) bitwise equal.
         if (p.height, p.u, p.v) > (q.height, q.u, q.v):
@@ -468,10 +470,13 @@ class TwistedChain:
         dh = p.height - q.height
         best = math.inf
         for c, s, shift in self._lifts:
+            dz = dh - shift
+            dz2 = dz * dz
+            if dz2 >= best:
+                continue
             du = p.u - (c * q.u - s * q.v)
             dv = p.v - (s * q.u + c * q.v)
-            dz = dh - shift
-            d2 = du * du + dv * dv + dz * dz
+            d2 = du * du + dv * dv + dz2
             if d2 < best:
                 best = d2
         return math.sqrt(best)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -31,7 +32,7 @@ from cycproj import (
     verdict,
 )
 from cycproj.engine import _BLOCK, _FIT_CHUNK
-from cycproj.projections import _epigraph_feet
+from cycproj.projections import _epigraph_feet, _epigraph_foot
 
 DELTA = math.sqrt(2.0) / 4.0
 
@@ -163,9 +164,9 @@ def failing_at(patch, fail_at):
         done[0] += 1
         return cycle_apply(space, sets, x)
 
-    def feet(epsilon, x0, y0, cycles, us, heights):
+    def feet(epsilon, x0, cycles, us, heights):
         run = min(cycles, fail_at - done[0])
-        _epigraph_feet(epsilon, x0, y0, run, us, heights)
+        _epigraph_feet(epsilon, x0, run, us, heights)
         done[0] += run
         if run < cycles:
             raise NumericalFailureError("stopped")
@@ -179,6 +180,8 @@ class TestStoredPoints:
     @pytest.mark.parametrize("kwargs, match", [
         ({"stride": 2.5}, "stride must be an integer, got 2.5"),
         ({"cycles": 2.5}, "cycles must be an integer, got 2.5"),
+        ({"stride": True}, "stride must be an integer, got True"),
+        ({"cycles": True}, "cycles must be an integer, got True"),
     ])
     def test_non_integral_counts_raise_before_any_cycle(self, monkeypatch, name, kwargs,
                                                          match):
@@ -410,7 +413,7 @@ class TestAxisEpigraphKernel:
 
         calls = []
 
-        def feet(epsilon, x0, y0, cycles, us, heights):
+        def feet(epsilon, x0, cycles, us, heights):
             calls.append(cycles)
             if len(calls) > 1:
                 raise later
@@ -433,10 +436,56 @@ class TestAxisEpigraphKernel:
         # flagged
         us, heights = [], []
         try:
-            _epigraph_feet(10.0 ** log_eps, 10.0 ** log_x0, 0.0, 3, us, heights)
+            _epigraph_feet(10.0 ** log_eps, 10.0 ** log_x0, 3, us, heights)
         except NumericalFailureError:
             pass
         assert all(math.isfinite(v) for v in us + heights), (us, heights)
+
+    def test_feet_are_the_one_point_solves_bitwise(self, monkeypatch):
+        # the kernel's inline axis solve against repeated one-point solves from
+        # the same x0: the same feet, or the same error after the same feet
+        import cycproj.projections
+
+        fallbacks = []
+
+        def counted_foot(*args):
+            fallbacks.append(args)
+            return _epigraph_foot(*args)
+
+        def run(solve, epsilon, x0):
+            us, heights, error = [], [], None
+            try:
+                solve(epsilon, x0, us, heights)
+            except Exception as exc:
+                error = type(exc), str(exc)
+            return list(map(float.hex, us)), list(map(float.hex, heights)), error
+
+        def kernel(epsilon, x0, us, heights):
+            _epigraph_feet(epsilon, x0, 3, us, heights)
+
+        def one_point(epsilon, x0, us, heights):
+            for _ in range(3):
+                x0, height = _epigraph_foot(epsilon, x0, 0.0)
+                us.append(x0)
+                heights.append(height)
+
+        rng = np.random.default_rng(28)
+        starts = [(eps, x0) for eps in (0.01, 0.25, 1.0, 2.0)
+                  for x0 in (1e-300, 1e-200, 1e-12, 1e-3, 0.1, 0.5, 1.0, 1.3, 10.0, 280.0,
+                             1e4, 1e8, 2.0**23 - 2.0**-30, 2.0**23 - 2 * 2.0**-30, 1e20, 1e300)]
+        # epsilon far from 1 as well, and a start at x0 < 0, where halving from
+        # u = 1 overflows the power
+        starts += (10.0 ** rng.uniform([-300.0, -300.0], [300.0, 300.0], (300, 2))).tolist()
+        starts.append((1e300, -1e308))
+        monkeypatch.setattr(cycproj.projections, "_epigraph_foot", counted_foot)
+        errors = []
+        for eps, x0 in starts:
+            feet = run(kernel, eps, x0)
+            assert feet == run(one_point, eps, x0), (eps, x0)
+            errors.append(feet[2] and feet[2][1])
+        assert fallbacks  # some cycles have no local bracket
+        assert any("one ulp of x0" in e for e in errors if e)
+        assert any("power overflowed" in e for e in errors if e)
 
 
 class TestTwoSetDiagnostics:
@@ -460,6 +509,56 @@ class TestTwoSetDiagnostics:
         trace = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 5)
         with pytest.raises(ValueError):
             two_set_diagnostics(trace)
+
+    @staticmethod
+    def full_length_margins(trace):
+        """The step, gap, energy and monotone margins from full-length expressions."""
+        n, r, s, a, b = trace.completed, trace.r, trace.s, trace.a, trace.b
+        return (min(math.inf, float(np.min(s[1:n] - r[1:n])), float(np.min(r[1:n - 1] - s[2:n]))),
+                min(math.inf, float(np.min(a[1:n] - b[1:n])),
+                    float(np.min(b[1:n] - a[2:n + 1]))),
+                min(math.inf, float(np.min(b[1:n] ** 2 - a[2:n + 1] ** 2 - r[1:n] ** 2))),
+                float(np.min(r[:-1] - r[1:])))
+
+    def test_chunked_margins_are_the_full_length_ones(self):
+        # three chunks; each column is moved by -1 and +1 at each chunk edge in
+        # turn, so a margin's extreme term sits on either side of every edge
+        n = 2 * _FIT_CHUNK + 10
+        scenario = build_plane_two_sets(0.5)
+        base = iterate(scenario.space, scenario.sets, scenario.start(), n, stride=n)
+        edges = (0, 1, 2, _FIT_CHUNK - 1, _FIT_CHUNK, _FIT_CHUNK + 1, 2 * _FIT_CHUNK,
+                 2 * _FIT_CHUNK + 1, n - 2, n - 1, n)
+        cases = [base]
+        for name in ("r", "s", "a", "b"):
+            for edge in edges:
+                for shift in (-1.0, 1.0):
+                    column = getattr(base, name).copy()
+                    if edge < len(column):
+                        column[edge] += shift
+                        cases.append(dataclasses.replace(base, **{name: column}))
+        for trace in cases:
+            report = two_set_diagnostics(trace)
+            got = (report.step_chain_margin, report.gap_chain_margin, report.energy_margin,
+                   report.monotone_margin)
+            assert got == self.full_length_margins(trace)
+
+    def test_memory_is_bounded_by_the_sum(self):
+        # a real trace's columns repeated to 2*10**6 cycles, as the margins'
+        # memory depends only on the length.  Full-length margins peaked at
+        # 30.5 MiB on this trace; the one-call sum r[1:] ** 2 alone takes 15.3 MiB
+        scenario = build_plane_two_sets(0.5)
+        short = iterate(scenario.space, scenario.sets, scenario.start(), 20_000)
+        n = 2 * 10**6
+        trace = dataclasses.replace(short, r=np.resize(short.r, n), s=np.resize(short.s, n),
+                                    a=np.resize(short.a, n + 1), b=np.resize(short.b, n))
+        tracemalloc.start()
+        try:
+            report = two_set_diagnostics(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cycles == n
+        assert peak < 20 * 2**20
 
 
 def synthetic_trace(r: np.ndarray) -> Trace:
@@ -499,7 +598,7 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit(trace, (9, 30))
         long_trace = synthetic_trace(np.ones(200))
-        for window in [(10.0, 100.0), (10, 100.0), (np.float64(10), 100)]:
+        for window in [(10.0, 100.0), (10, 100.0), (np.float64(10), 100), (True, 4), (10, True)]:
             message = f"window bounds must be integers, got {window!r}"
             with pytest.raises(TypeError, match=re.escape(message)):
                 rate_fit(long_trace, window)

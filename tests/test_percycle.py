@@ -23,7 +23,8 @@ def test_table_has_a_row_per_scenario(capsys):
     rows = {line.split()[0]: line.split()[1:] for line in lines[export + 2:diagnostics]}
     diag = {line.split()[0]: line.split()[1:] for line in lines[diagnostics + 2:]}
     assert list(cycles) == [*percycle.SCENARIOS, "plane-two-sets:stride=100"]
-    assert list(calls) == ["exact_piecewise", "golden_section", "closed_form", "newton"]
+    assert list(calls) == ["exact_piecewise", "golden_section", "closed_form", "newton",
+                           "newton:axis"]
     assert list(rows) == ["write_trace_csv", "write_trace_json", "read_trace_csv",
                           "Trace.points"]
     assert list(diag) == ["two_set_diagnostics", "rate_fit", "verdict"]

@@ -294,9 +294,15 @@ class TestTwistedChain:
         return math.sqrt(best)
 
     def test_lift_table_matches_per_k_loop_bitwise(self, chain):
+        # the library scans its lifts nearest first and skips those whose
+        # vertical term alone reaches the best so far; the reference scans all
         rng = np.random.default_rng(41)
-        wide = TwistedChain(radius=2.0, circumference=0.7, twist=2.3)
-        for space in (chain, wide):
+        chains = (chain,  # 5 lifts
+                  TwistedChain(radius=0.5, circumference=1.0, twist=0.4),  # 7
+                  TwistedChain(radius=2.0, circumference=0.7, twist=2.3),  # 15
+                  TwistedChain(radius=3.8, circumference=0.6, twist=-1.1))  # 29
+        assert [len(space._lifts) for space in chains] == [5, 7, 15, 29]
+        for space in chains:
             lam = space.circumference
             edge = (0.0, math.nextafter(lam, 0.0), lam * (1.0 - 1e-15), lam - 1e-9)
 

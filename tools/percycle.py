@@ -14,7 +14,9 @@ times, in µs per call:
 ``exact_piecewise`` (``project``) and ``golden_section``
 (``project_segment_generic``) from the tripod's start onto its first
 segment, ``closed_form`` from the chain's start onto its second disc, and
-``newton`` from (1, 0) onto the plane's epigraph.  The third times the
+``newton`` from (1, 0) onto the plane's epigraph; the ``newton:axis`` row
+times the two-set kernel's axis solve ``_epigraph_feet``, per foot, over
+200 feet from (100, 0) at epsilon 0.5.  The third times the
 export layer on one 10^4-cycle twisted-chain trace from its default start,
 15 times, in µs per row (cycle index 0..n): ``write_trace_csv``,
 ``write_trace_json`` and ``read_trace_csv`` of that CSV, and ``Trace.points``,
@@ -40,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cycproj import (  # noqa: E402
     PlanePoint, build_scenario, iterate, project, project_segment_generic, rate_fit,
     two_set_diagnostics, verdict)
+from cycproj.projections import _epigraph_feet  # noqa: E402
 from cycproj.traceio import (  # noqa: E402
     read_trace_csv, summary_dict, write_trace_csv, write_trace_json)
 
@@ -145,6 +148,9 @@ def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYC
     print(f"{'solver':<25} {'min us/call':>12} {'max us/call':>12}")
     for tag, projector, args in projector_calls():
         times = per_call_us(tag, projector, args, runs, CALLS)
+        print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
+    for tag, times in timed_us([("newton:axis", lambda: _epigraph_feet(0.5, 100.0, CALLS, [], []))],
+                               runs, CALLS):
         print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
     print(f"# min of {runs} runs on one {export_cycles}-cycle twisted-chain trace")
     print(f"{'export layer':<25} {'min us/row':>12} {'max us/row':>12}")
