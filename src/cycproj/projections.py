@@ -15,13 +15,14 @@ records which code path produced the point:
 
 Projections onto closed convex subsets of a CAT(0) space are unique and
 nonexpanding; a tie detected anywhere is treated as a modeling error, never
-broken silently.
+broken silently.  A segment's ends are checked once per space, by
+:func:`_checked_segment`; the projected point is checked on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .spaces import (
     ChainPoint,
@@ -74,6 +75,8 @@ class Segment:
 
     start: object
     end: object
+    # (space, tree) for the last space whose _check both ends passed: see _checked_segment
+    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,12 +163,12 @@ def project_segment_generic(space, seg: Segment, x) -> ProjectionResult:
     refinement recovers the parameter below the comparison-noise floor of the
     raw search (function values near an interior minimum differ by less than
     one ulp once the bracket is ~1e-8 wide); it is accepted only when it
-    stays near the bracket and does not increase the objective.
+    stays near the bracket and does not increase the objective.  The
+    segment's ends are checked once per space, x on every call.
     """
-    start, end = seg.start, seg.end
-    space._check(start)
-    space._check(end)
+    _checked_segment(space, seg)
     space._check(x)
+    start, end = seg.start, seg.end
     distance, geodesic = space._distance, space._geodesic
 
     def f(t: float) -> float:
@@ -207,10 +210,7 @@ def project_segment_generic(space, seg: Segment, x) -> ProjectionResult:
 # Plane segments (closed form)
 
 
-def _project_segment_plane(plane: Plane, seg: Segment, x: PlanePoint) -> ProjectionResult:
-    plane._check(seg.start)
-    plane._check(seg.end)
-    plane._check(x)
+def _project_segment_plane(seg: Segment, x: PlanePoint) -> ProjectionResult:
     ax, ay = seg.start.x, seg.start.y
     bx, by = seg.end.x, seg.end.y
     # Anchor at the midpoint: feet near the middle of a long symmetric
@@ -256,40 +256,31 @@ def _segment_pieces(paths: tuple[tuple, tuple]) -> tuple[tuple, ...]:
                  for lo, hi in zip(cuts, cuts[1:]))
 
 
-_SEGMENT_TABLE_CAP = 256
-# (id(space), id(seg)) -> (space, seg, (paths, pieces, qa, lengths)).  An entry
-# holds its space and segment, so neither id can be reused while it stands; it is
-# still used only when both match by identity.
-_segment_paths: dict[tuple[int, int], tuple] = {}
+def _is_tree_product(space) -> bool:
+    return (isinstance(space, ProductSpace)
+            and isinstance(space.left, StarTree) and isinstance(space.right, StarTree))
 
 
-def _tree_segment_paths(space: ProductSpace, seg: Segment) -> tuple:
-    """Both factors' leg paths of ``seg``, their pieces, the t^2 coefficient sum(ds^2)
-    and each factor's positive-leg length, worked out once per (space, seg) pair.
+def _checked_segment(space, seg: Segment) -> tuple | None:
+    """Check ``start``, then ``end``, once per space: the one place a segment is checked.
 
-    The projector is called with the same few segments every cycle, so the
-    space's shape and the segment's endpoints are validated on the first call,
-    and the entry is looked up by identity afterwards.  The table is cleared at
-    ``_SEGMENT_TABLE_CAP`` entries.  An entry depends only on its immutable space
-    and segment, so callers racing on the table at worst work one out twice.
+    Returns both factors' leg paths, their pieces, the t^2 coefficient sum(ds^2)
+    and each factor's positive-leg length in a product of star trees, else None,
+    and keeps (space, that) on the segment; a failed check keeps nothing.
     """
-    entry = _segment_paths.get((id(space), id(seg)))
-    if entry is not None and entry[0] is space and entry[1] is seg:
-        return entry[2]
-    if not (isinstance(space, ProductSpace)
-            and isinstance(space.left, StarTree)
-            and isinstance(space.right, StarTree)):
-        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    checked = seg._checked
+    if checked is not None and checked[0] is space:
+        return checked[1]
     space._check(seg.start)
     space._check(seg.end)
-    paths = _leg_path(seg.start.left, seg.end.left), _leg_path(seg.start.right, seg.end.right)
-    (_, pos_l, _, ds_l), (_, pos_r, _, ds_r) = paths
-    found = (paths, _segment_pieces(paths), ds_l * ds_l + ds_r * ds_r,
-             (space.left.leg_lengths[pos_l], space.right.leg_lengths[pos_r]))
-    if len(_segment_paths) >= _SEGMENT_TABLE_CAP:
-        _segment_paths.clear()
-    _segment_paths[(id(space), id(seg))] = (space, seg, found)
-    return found
+    tree = None
+    if _is_tree_product(space):
+        paths = _leg_path(seg.start.left, seg.end.left), _leg_path(seg.start.right, seg.end.right)
+        (_, pos_l, _, ds_l), (_, pos_r, _, ds_r) = paths
+        tree = (paths, _segment_pieces(paths), ds_l * ds_l + ds_r * ds_r,
+                (space.left.leg_lengths[pos_l], space.right.leg_lengths[pos_r]))
+    object.__setattr__(seg, "_checked", (space, tree))
+    return tree
 
 
 def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoint) -> ProjectionResult:
@@ -301,9 +292,18 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
     kink where the path passes the center.  Between kinks every factor is
     |c + ds * t|, so [0, 1] splits into at most three pieces, each with one
     quadratic in t; the foot is the best of the pieces' clamped minimizers.
+    Another space raises :class:`UnsupportedShapeError` before any check; the
+    segment's ends are checked once per space, x on every call.
     """
+    if not _is_tree_product(space):
+        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    return _project_tree_segment(space, seg, _checked_segment(space, seg), x)
+
+
+def _project_tree_segment(space: ProductSpace, seg: Segment, tree, x: ProductPoint) -> ProjectionResult:
+    """:func:`project_segment_tree_exact` on ``seg``'s checked tree data."""
     (((neg_l, pos_l, s0_l, ds_l), (neg_r, pos_r, s0_r, ds_r)), pieces, qa,
-     (len_l, len_r)) = _tree_segment_paths(space, seg)
+     (len_l, len_r)) = tree
     # x is validated by the one space.distance call that measures the foot;
     # a point of the wrong type fails here first and gets _check's error.
     try:
@@ -478,10 +478,10 @@ def _epigraph_foot(epsilon: float, x0: float, y0: float) -> tuple[float, float]:
 def _epigraph_feet(epsilon: float, x0: float, cycles: int, us: list, heights: list) -> None:
     """Append the feet (u, height) of ``cycles`` two-set kernel cycles from the axis point (x0, 0).
 
-    A cycle with a usable local bracket (x0 > 0, h(x0) <= x0) runs
-    :func:`_epigraph_foot`'s solve inline with y0 = 0 and base = x0, which drop
-    out of its arithmetic exactly; any other calls :func:`_epigraph_foot`, so
-    the feet and errors are its own.  Earlier feet stay in the lists on a failure.
+    A cycle with a usable local bracket (x0 > 0, h(x0) <= x0, x0 + h(x0) != x0)
+    runs :func:`_epigraph_foot`'s solve inline with y0 = 0 and base = x0, which
+    drop out of its arithmetic exactly; any other calls :func:`_epigraph_foot`,
+    so the feet and errors are its own.  Earlier feet stay in the lists on a failure.
     """
     neg_eps, eps1 = -epsilon, epsilon + 1.0
     u_append, height_append = us.append, heights.append
@@ -497,14 +497,9 @@ def _epigraph_feet(epsilon: float, x0: float, cycles: int, us: list, heights: li
                 tail = 1.0 + e
                 g = 0.0 - k * tail
                 h0 = 0.0 - g
-            if not h0 <= x0:  # no local bracket, in practice from a start near the y-axis
+            if not h0 <= x0 or x0 + h0 == x0:  # no local bracket (near the y-axis) or a one-ulp foot
                 u, height = _epigraph_foot(epsilon, x0, 0.0)
                 e = u ** neg_eps
-            elif x0 + h0 == x0:
-                raise NumericalFailureError(
-                    f"epigraph foot from ({x0!r}, {0.0!r}), epsilon={epsilon!r}, lies within "
-                    f"one ulp of x0: the bracket width {h0!r} does not move x0"
-                )
             else:
                 gp = 1.0 + eps1 * (k / x0) * tail + k * k
                 lo, hi, d = 0.0, h0, 0.0
@@ -589,18 +584,18 @@ def project(space, cset: ConvexSet, x) -> ProjectionResult:
     A plane segment takes the closed form, a segment of a product of star
     trees the exact projector, any other segment golden section, and every
     other set its exact projector.  Those projectors trust their inputs: x is
-    checked here, and a set's parameters by the set's constructor.
+    checked on every call, a segment's ends once per space, and a set's
+    parameters by the set's constructor.
     To force a segment solver, call :func:`project_segment_generic` or
     :func:`project_segment_tree_exact` directly.
     """
     if isinstance(cset, Segment):
+        tree = _checked_segment(space, cset)
         if isinstance(space, Plane):
-            return _project_segment_plane(space, cset, x)
-        if isinstance(space, ProductSpace):
-            try:
-                return project_segment_tree_exact(space, cset, x)
-            except UnsupportedShapeError:  # a factor is not a star tree
-                pass
+            space._check(x)
+            return _project_segment_plane(cset, x)
+        if tree is not None:
+            return _project_tree_segment(space, cset, tree, x)
         return project_segment_generic(space, cset, x)
     if isinstance(cset, AxisLine):
         if not isinstance(space, Plane):
@@ -631,15 +626,18 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
     3 x 3 rectangles.  On each, the squared distance is a single quadratic in
     the two parameters (squares absorb the |.| kinks factorwise), minimized
     by checking the interior stationary point and the four edges.  Every
-    other pair raises :class:`UnsupportedShapeError`, two equal sets included.
+    other pair raises :class:`UnsupportedShapeError`, two equal sets included,
+    as does any other space, before any check; the ends are checked once per space.
     """
     if not (isinstance(set_a, Segment) and isinstance(set_b, Segment)):
         raise UnsupportedShapeError(
             f"set_distance covers only pairs of segments, got {type(set_a).__name__} "
             f"and {type(set_b).__name__}"
         )
-    paths_a, pieces_a, _, _ = _tree_segment_paths(space, set_a)
-    paths_b, pieces_b, _, _ = _tree_segment_paths(space, set_b)
+    if not _is_tree_product(space):
+        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    paths_a, pieces_a, _, _ = _checked_segment(space, set_a)
+    paths_b, pieces_b, _, _ = _checked_segment(space, set_b)
     best = math.inf
     for s_lo, s_hi, *legs_a in pieces_a:
         for t_lo, t_hi, *legs_b in pieces_b:

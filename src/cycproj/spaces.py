@@ -33,7 +33,7 @@ check every point they are given (``_check``) and raise ``TypeError`` or
 already validated their points; a product space combines its factors'
 internals, so each factor point is checked once per call.  The checked
 ``distance`` and ``geodesic`` are written once, below, and shared by every
-space.
+space.  :mod:`cycproj.projections` checks a segment's ends once per space.
 """
 
 from __future__ import annotations

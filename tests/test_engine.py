@@ -23,7 +23,6 @@ from cycproj import (
     build_plane_two_lines,
     build_plane_two_sets,
     build_scenario,
-    build_tripod_counterexample,
     cycle_apply,
     iterate,
     project,
@@ -35,11 +34,6 @@ from cycproj.engine import _BLOCK, _FIT_CHUNK
 from cycproj.projections import _epigraph_feet, _epigraph_foot
 
 DELTA = math.sqrt(2.0) / 4.0
-
-
-@pytest.fixture(scope="module")
-def tripod():
-    return build_tripod_counterexample(3)
 
 
 class TestCycleApply:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cycproj import projections
 from cycproj import (
     AmbiguousProjectionError,
     AxisLine,
@@ -298,11 +297,6 @@ class TestSegmentGeneric:
                 project_segment_generic(space, Segment(seg.start, end), x)
 
 
-@pytest.fixture(scope="module")
-def tripod():
-    return build_tripod_counterexample(3)
-
-
 class TestSegmentTreeExact:
     def test_endpoint_maps_to_opposite_endpoint(self, tripod):
         # critical point of (p + p')^2 + (1 - p + q')^2 lands at the far end
@@ -420,23 +414,6 @@ class TestSegmentTreeExact:
                 a = project_segment_tree_exact(space, seg, x)
                 b = project_segment_tree_exact(space, twin, x)
                 assert repr(a) == repr(b)
-
-    def test_segment_table_overflow_leaves_results_unchanged(self, tripod):
-        space = tripod.space
-        rng = np.random.default_rng(31)
-        xs = [ProductPoint(StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))),
-                           StarPoint(int(rng.integers(3)), float(rng.uniform(0, 1))))
-              for _ in range(10)]
-        before = [repr(project_segment_tree_exact(space, seg, x))
-                  for seg in tripod.sets for x in xs]
-        cap = projections._SEGMENT_TABLE_CAP
-        fillers = [Segment(seg.start, seg.end) for _ in range(cap) for seg in tripod.sets]
-        for seg in fillers:
-            project_segment_tree_exact(space, seg, xs[0])
-            assert len(projections._segment_paths) <= cap
-        after = [repr(project_segment_tree_exact(space, seg, x))
-                 for seg in tripod.sets for x in xs]
-        assert after == before
 
     def test_agreement_on_random_inputs(self, tripod):
         space = tripod.space
@@ -729,6 +706,45 @@ class TestDispatcher:
     def test_plane_segment_checks_every_argument(self, start, end, x):
         with pytest.raises(TypeError, match="expected PlanePoint, got StarPoint"):
             project(PLANE, Segment(start, end), x)
+
+    def test_segment_ends_are_checked_once_per_space(self, monkeypatch):
+        checked = []
+        check = Plane._check
+
+        def counted(plane, p):
+            checked.append(p)
+            check(plane, p)
+
+        monkeypatch.setattr(Plane, "_check", counted)
+        seg, x = Segment(PlanePoint(-1, -1), PlanePoint(1, 1)), PlanePoint(1.0, 0.0)
+        counts = []
+        for plane in (PLANE, PLANE, PLANE, Plane(), PLANE):  # an equal plane is another space
+            checked.clear()
+            project(plane, seg, x)
+            counts.append(len(checked))
+        assert counts == [3, 1, 1, 3, 3]
+        bad = Segment(PlanePoint(0, 0), StarPoint(0, 0.5))
+        for _ in range(2):  # a failed check keeps no record
+            checked.clear()
+            with pytest.raises(TypeError, match="expected PlanePoint, got StarPoint"):
+                project(PLANE, bad, x)
+            assert checked == [bad.start, bad.end]
+
+    def test_segment_in_a_product_not_of_trees(self):
+        space = ProductSpace(StarTree.unit(3), Plane())
+        seg = Segment(ProductPoint(StarPoint(0, 0.5), PlanePoint(0.0, 1.0)),
+                      ProductPoint(StarPoint(1, 0.5), PlanePoint(1.0, 0.0)))
+        x = ProductPoint(StarPoint(2, 0.3), PlanePoint(0.5, 0.5))
+        res = project(space, seg, x)
+        assert res.solver == "golden_section"
+        assert repr(res) == repr(project_segment_generic(space, seg, x))
+        # the shape is rejected before the ends are checked
+        off = Segment(ProductPoint(StarPoint(3, 0.2), PlanePoint(0.0, 1.0)), seg.end)
+        for segment in (seg, off):
+            with pytest.raises(UnsupportedShapeError):
+                project_segment_tree_exact(space, segment, x)
+            with pytest.raises(UnsupportedShapeError):
+                set_distance(space, segment, seg)
 
     def test_wrong_space_pairings(self, tripod):
         with pytest.raises(TypeError):

@@ -61,15 +61,13 @@ def per_cycle_us(name: str, runs: int, cycles: int, stride: int = 1) -> list[flo
     """µs per cycle of each of ``runs`` runs of ``cycles`` cycles of ``name``."""
     scenario = build_scenario(name)
     space, sets, start = scenario.space, scenario.sets, scenario.start()
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
+
+    def run() -> None:
         trace = iterate(space, sets, start, cycles, stride=stride)
-        elapsed = time.perf_counter() - t0
         if trace.failed:
             raise RuntimeError(f"{name} failed after {trace.completed} cycles: {trace.failure}")
-        times.append(elapsed / cycles * 1e6)
-    return times
+
+    return timed_us([(name, run)], runs, cycles)[0][1]
 
 
 def projector_calls() -> list[tuple]:
@@ -87,13 +85,12 @@ def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list
     solver = projector(*args).solver
     if solver != tag:
         raise RuntimeError(f"the {tag} input ran {solver}")
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
+
+    def run() -> None:
         for _ in range(calls):
             projector(*args)
-        times.append((time.perf_counter() - t0) / calls * 1e6)
-    return times
+
+    return timed_us([(tag, run)], runs, calls)[0][1]
 
 
 def timed_us(layers: list, runs: int, per: int) -> list[tuple[str, list[float]]]:
