@@ -31,7 +31,6 @@ generic loop through ``project`` and ``space.distance``.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -47,7 +46,7 @@ from .projections import (
     _epigraph_feet,
     project,
 )
-from .spaces import Plane, PlanePoint
+from .spaces import Plane, PlanePoint, _is_integer
 
 __all__ = [
     "Trace",
@@ -148,18 +147,16 @@ def iterate(space, sets: Sequence[ConvexSet], start, cycles: int, *,
     :func:`_axis_epigraph_cycles` after, with the same bits.  The loops store
     cycles k with ``k % stride <= 1``; the last point is stored here.
     """
-    for name, value in (("cycles", cycles), ("stride", stride)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral | None):
+    for name, value in (("cycles", cycles), ("stride", 1 if stride is None else stride)):
+        if not _is_integer(value):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     sets = tuple(sets)
     if not sets:
         raise ValueError("at least one convex set is required")
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles!r}")
     if stride is None:
         stride = 1 if cycles <= _DECIMATION_THRESHOLD else math.ceil(cycles / _POINTS_KEPT)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride!r}")
 
     space._check(start)  # the error the first projection would raise
     two_sets = len(sets) == 2
@@ -320,45 +317,38 @@ def _sum_r_sq(trace: Trace) -> float:
     return float(np.sum(trace.r[1:] ** 2)) if trace.completed >= 2 else 0.0
 
 
+def _margin(*parts) -> float:
+    """Least term of the parts ``(terms, lo, hi)``, ``terms(i, j)`` giving terms i..j-1:
+    per part, ``np.min`` over ``_FIT_CHUNK``-index chunks (+inf if empty), then across
+    parts Python's ``min`` in order, keeping the first of equal zeros; NaN if any part is."""
+    least = [float(np.min([np.min(terms(i, min(i + _FIT_CHUNK, hi)))
+                           for i in range(lo, hi, _FIT_CHUNK)])) if lo < hi else math.inf
+             for terms, lo, hi in parts]
+    return math.nan if any(map(math.isnan, least)) else min(least)
+
+
 def two_set_diagnostics(trace: Trace) -> TwoSetReport:
     """Verify the interleaved step-size inequalities of a two-set trace.
 
     Checks, for n >= 1: the nonexpansiveness chain s_n >= r_n >= s_{n+1},
     the set-gap chain a_n >= b_n >= a_{n+1}, the energy bound
     r_n^2 <= b_n^2 - a_{n+1}^2, monotonicity of r, and the summed bound
-    sum_{n>=1} r_n^2 <= b_1^2, each within its slack above.
+    sum_{n>=1} r_n^2 <= b_1^2, each within its slack above.  A margin over
+    no terms is +inf; a NaN term makes its margin NaN, which fails.
     """
     if trace.k != 2:
         raise ValueError(f"two-set diagnostics need a 2-set trace, got k={trace.k}")
-    n = trace.completed
-    r, s, a, b = trace.r, trace.s, trace.a, trace.b
-    inf = math.inf
-
-    def least(terms, lo: int, hi: int) -> float:  # min of terms(i, j), a chunk at a time
-        return float(np.min([np.min(terms(i, min(i + _FIT_CHUNK, hi)))
-                             for i in range(lo, hi, _FIT_CHUNK)]))
-
-    margins_step = [inf]
-    margins_gap = [inf]
-    margins_energy = [inf]
-    if n >= 2:
-        # valid ranges: s[1..n-1], a[1..n], b[0..n-1], r[0..n-1]
-        margins_step.append(least(lambda i, j: s[i:j] - r[i:j], 1, n))
-        margins_gap.append(least(lambda i, j: a[i:j] - b[i:j], 1, n))
-        margins_gap.append(least(lambda i, j: b[i:j] - a[i + 1:j + 1], 1, n))
-        margins_energy.append(least(lambda i, j: b[i:j] ** 2 - a[i + 1:j + 1] ** 2 - r[i:j] ** 2,
-                                    1, n))
-    if n >= 3:
-        margins_step.append(least(lambda i, j: r[i:j] - s[i + 1:j + 1], 1, n - 1))
-
-    step_margin = min(margins_step)
-    gap_margin = min(margins_gap)
-    energy_margin = min(margins_energy)
-    mono_margin = least(lambda i, j: r[i:j] - r[i + 1:j + 1], 0, n - 1) if n >= 2 else inf
+    n, r, s, a, b = trace.completed, trace.r, trace.s, trace.a, trace.b
+    # valid ranges: s[1..n-1], a[1..n], b[0..n-1], r[0..n-1]
+    step_margin = _margin((lambda i, j: s[i:j] - r[i:j], 1, n),
+                          (lambda i, j: r[i:j] - s[i + 1:j + 1], 1, n - 1))
+    gap_margin = _margin((lambda i, j: a[i:j] - b[i:j], 1, n),
+                         (lambda i, j: b[i:j] - a[i + 1:j + 1], 1, n))
+    energy_margin = _margin((lambda i, j: b[i:j] ** 2 - a[i + 1:j + 1] ** 2 - r[i:j] ** 2, 1, n))
+    mono_margin = _margin((lambda i, j: r[i:j] - r[i + 1:j + 1], 0, n - 1))
 
     sum_r_sq = _sum_r_sq(trace)
-    b1_sq = float(b[1] ** 2) if n >= 2 else inf
-    sum_margin = b1_sq + SUM_SLACK - sum_r_sq
+    b1_sq = float(b[1] ** 2) if n >= 2 else math.inf
 
     return TwoSetReport(
         cycles=n,
@@ -372,7 +362,7 @@ def two_set_diagnostics(trace: Trace) -> TwoSetReport:
         gap_chain_ok=gap_margin >= -CHAIN_SLACK,
         energy_ok=energy_margin >= -ENERGY_SLACK,
         monotone_ok=mono_margin >= -CHAIN_SLACK,
-        sum_ok=sum_margin >= 0.0,
+        sum_ok=b1_sq + SUM_SLACK - sum_r_sq >= 0.0,
     )
 
 
@@ -400,7 +390,7 @@ def rate_fit(trace: Trace, window: tuple[int, int]) -> RateFit:
     totals: Chan, Golub and LeVeque's pairwise update with no rounding.
     """
     lo, hi = window
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (lo, hi)):
+    if not (_is_integer(lo) and _is_integer(hi)):
         raise TypeError(f"window bounds must be integers, got {window!r}")
     if lo < 1 or hi <= lo:
         raise ValueError(f"window must satisfy 1 <= lo < hi, got {window!r}")
@@ -457,29 +447,30 @@ _MONO_SLACK = 1e-12
 _FLAT_REL_TOL = 1e-6
 
 
+def _tail_start(trace: Trace) -> int:
+    """Index of the first step of the tail :func:`verdict` inspects."""
+    return trace.completed - max(1, math.ceil(_TAIL_FRACTION * (trace.completed - 1)))
+
+
 def verdict(trace: Trace) -> RegularityVerdict:
     """Classify a trace as Regular, NotRegular, or Inconclusive.
 
-    The tail is the last ``_TAIL_FRACTION`` of the steps r_1, r_2, ....
-    Regular: the final step is below ``_R_TOL`` and the tail is
-    non-increasing (within ``_MONO_SLACK``).  NotRegular: every tail step
-    exceeds ``10 * _R_TOL`` and the tail is flat to relative
-    ``_FLAT_REL_TOL`` -- evidence of a positive liminf, whose estimate is
-    the tail minimum.
+    The tail is the last ``_TAIL_FRACTION`` of the steps r_1, r_2, ...,
+    rounded up, or r_0 alone after one cycle.  Regular: the final step is
+    below ``_R_TOL`` and the tail is non-increasing (within ``_MONO_SLACK``).
+    NotRegular: the tail holds two steps or more (one is trivially flat),
+    every one exceeds ``10 * _R_TOL``, and it is flat to relative
+    ``_FLAT_REL_TOL`` -- evidence of a positive liminf, whose estimate is the
+    tail minimum.
     """
     if trace.completed == 0:
         raise ValueError("cannot classify an empty trace")
-    rs = trace.r[1:] if trace.completed >= 2 else trace.r
-    tail_len = max(1, math.ceil(_TAIL_FRACTION * len(rs)))
-    tail = rs[-tail_len:]
-    tail_min = float(np.min(tail))
-    tail_max = float(np.max(tail))
-    final_r = float(rs[-1])
-
-    non_increasing = bool(np.all(np.diff(tail) <= _MONO_SLACK)) if len(tail) >= 2 else True
-    if final_r < _R_TOL and non_increasing:
+    tail = trace.r[_tail_start(trace):]
+    tail_min, tail_max, final_r = float(np.min(tail)), float(np.max(tail)), float(tail[-1])
+    if final_r < _R_TOL and np.all(np.diff(tail) <= _MONO_SLACK):
         cls = "Regular"
-    elif tail_min >= 10.0 * _R_TOL and tail_max - tail_min <= _FLAT_REL_TOL * tail_max:
+    elif (len(tail) >= 2 and tail_min >= 10.0 * _R_TOL
+          and tail_max - tail_min <= _FLAT_REL_TOL * tail_max):
         cls = "NotRegular"
     else:
         cls = "Inconclusive"
@@ -489,7 +480,7 @@ def verdict(trace: Trace) -> RegularityVerdict:
 def _tail_slope(trace: Trace) -> float | None:
     """:func:`rate_fit`'s slope over the tail :func:`verdict` inspects, or None
     unless that tail holds at least 10 steps, all positive."""
-    lo = trace.completed - math.ceil(_TAIL_FRACTION * (trace.completed - 1))
+    lo = _tail_start(trace)
     if trace.completed - lo < 10 or not trace.r[lo:].min() > 0.0:
         return None
     return rate_fit(trace, (lo, trace.completed - 1)).slope

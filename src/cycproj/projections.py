@@ -33,6 +33,7 @@ from .spaces import (
     StarPoint,
     StarTree,
     TwistedChain,
+    _is_integer,
 )
 
 __all__ = [
@@ -116,7 +117,7 @@ class CrossDisc:
     disc_index: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.disc_index, int) and 0 <= self.disc_index <= 2):
+        if not (_is_integer(self.disc_index) and 0 <= self.disc_index <= 2):
             raise ValueError(f"disc_index must be 0, 1 or 2, got {self.disc_index!r}")
 
 
@@ -261,6 +262,11 @@ def _is_tree_product(space) -> bool:
             and isinstance(space.left, StarTree) and isinstance(space.right, StarTree))
 
 
+def _require_tree_product(space) -> None:
+    if not _is_tree_product(space):
+        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+
+
 def _checked_segment(space, seg: Segment) -> tuple | None:
     """Check ``start``, then ``end``, once per space: the one place a segment is checked.
 
@@ -295,8 +301,7 @@ def project_segment_tree_exact(space: ProductSpace, seg: Segment, x: ProductPoin
     Another space raises :class:`UnsupportedShapeError` before any check; the
     segment's ends are checked once per space, x on every call.
     """
-    if not _is_tree_product(space):
-        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    _require_tree_product(space)
     return _project_tree_segment(space, seg, _checked_segment(space, seg), x)
 
 
@@ -634,8 +639,7 @@ def set_distance(space, set_a: ConvexSet, set_b: ConvexSet) -> float:
             f"set_distance covers only pairs of segments, got {type(set_a).__name__} "
             f"and {type(set_b).__name__}"
         )
-    if not _is_tree_product(space):
-        raise UnsupportedShapeError("exact segment projector requires a product of star trees")
+    _require_tree_product(space)
     paths_a, pieces_a, _, _ = _checked_segment(space, set_a)
     paths_b, pieces_b, _, _ = _checked_segment(space, set_b)
     best = math.inf
@@ -675,17 +679,12 @@ def _rectangle_minimum(coeffs: list, s_lo: float, s_hi: float, t_lo: float, t_hi
         if s_lo <= s <= s_hi and t_lo <= t <= t_hi:
             candidates.append((s, t))
 
-    def edge_minimum(fix_s: float | None, fix_t: float | None) -> tuple[float, float]:
-        if fix_s is not None:
-            # minimize over t: B t^2 + 2(C*fix_s + E) t + ...
-            t = -(C * fix_s + E) / B if B > 0.0 else t_lo
-            return fix_s, min(t_hi, max(t_lo, t))
-        s = -(C * fix_t + D) / A if A > 0.0 else s_lo
-        return min(s_hi, max(s_lo, s)), fix_t
-
     for fs in (s_lo, s_hi):
-        candidates.append(edge_minimum(fs, None))
+        # minimize over t: B t^2 + 2(C*fs + E) t + ...
+        t = -(C * fs + E) / B if B > 0.0 else t_lo
+        candidates.append((fs, min(t_hi, max(t_lo, t))))
     for ft in (t_lo, t_hi):
-        candidates.append(edge_minimum(None, ft))
+        s = -(C * ft + D) / A if A > 0.0 else s_lo
+        candidates.append((min(s_hi, max(s_lo, s)), ft))
 
     return min(value(s, t) for s, t in candidates)

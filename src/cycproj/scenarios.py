@@ -27,7 +27,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .projections import AxisLine, ConvexSet, CrossDisc, Epigraph, Segment
-from .spaces import Plane, PlanePoint, ProductPoint, ProductSpace, StarPoint, StarTree, TwistedChain
+from .spaces import (Plane, PlanePoint, ProductPoint, ProductSpace, StarPoint, StarTree,
+                     TwistedChain, _is_integer)
 
 __all__ = [
     "Scenario",
@@ -84,6 +85,8 @@ def build_tripod_counterexample(k: int = 3) -> Scenario:
     isometry.  Sets beyond the third repeat the third, which leaves the
     cycle dynamics unchanged.
     """
+    if not _is_integer(k):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 3:
         raise ValueError(f"the construction needs k >= 3 sets, got {k!r}")
     space = ProductSpace(StarTree.unit(3), StarTree.unit(3))

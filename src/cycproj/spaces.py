@@ -39,6 +39,7 @@ space.  :mod:`cycproj.projections` checks a segment's ends once per space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -64,6 +65,11 @@ class UndefinedAngleError(ValueError):
 def _require_finite(name: float | str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _checked_distance(space, p, q) -> float:

@@ -19,6 +19,7 @@ from cycproj import (
     NumericalFailureError,
     Plane,
     PlanePoint,
+    Segment,
     Trace,
     build_plane_two_lines,
     build_plane_two_sets,
@@ -30,7 +31,7 @@ from cycproj import (
     two_set_diagnostics,
     verdict,
 )
-from cycproj.engine import _BLOCK, _FIT_CHUNK
+from cycproj.engine import _BLOCK, _FIT_CHUNK, _margin, _tail_slope
 from cycproj.projections import _epigraph_feet, _epigraph_foot
 
 DELTA = math.sqrt(2.0) / 4.0
@@ -176,6 +177,7 @@ class TestStoredPoints:
         ({"cycles": 2.5}, "cycles must be an integer, got 2.5"),
         ({"stride": True}, "stride must be an integer, got True"),
         ({"cycles": True}, "cycles must be an integer, got True"),
+        ({"cycles": None}, "cycles must be an integer, got None"),
     ])
     def test_non_integral_counts_raise_before_any_cycle(self, monkeypatch, name, kwargs,
                                                          match):
@@ -536,6 +538,33 @@ class TestTwoSetDiagnostics:
                    report.monotone_margin)
             assert got == self.full_length_margins(trace)
 
+    def test_nan_energy_term_fails(self):
+        # b_n = a_{n+1} = 1e155, so every energy term is inf - inf = NaN
+        far = Segment(PlanePoint(-1.0, 1e155), PlanePoint(1.0, 1e155))
+        trace = iterate(Plane(), (AxisLine(), far), PlanePoint(3.0, 0.0), 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = two_set_diagnostics(trace)
+        assert math.isnan(report.energy_margin)
+        assert not report.energy_ok
+        assert not report.passed
+        assert report.step_chain_ok and report.gap_chain_ok and report.monotone_ok
+
+    def test_margin_parts(self):
+        def part(values, lo=0, hi=None):
+            values = np.asarray(values, dtype=float)
+            return (lambda i, j: values[i:j], lo, len(values) if hi is None else hi)
+
+        assert _margin(part([])) == math.inf
+        assert _margin(part([1.0, 2.0], 1, 1), part([3.0], 0, -1)) == math.inf
+        # a NaN anywhere, in any part, is the margin
+        for parts in ([part([np.nan])], [part([0.0]), part([np.nan])],
+                      [part([np.nan]), part([0.0])], [part([]), part([5.0, np.nan, -1.0])]):
+            assert math.isnan(_margin(*parts))
+        # the parts combine in order, so of two equal zeros the first is kept
+        assert math.copysign(1.0, _margin(part([1.0, 0.0]), part([-0.0, 2.0]))) == 1.0
+        assert math.copysign(1.0, _margin(part([-0.0, 2.0]), part([1.0, 0.0]))) == -1.0
+        assert _margin(part([3.0, -2.0]), part([]), part([-1.0])) == -2.0
+
     def test_memory_is_bounded_by_the_sum(self):
         # a real trace's columns repeated to 2*10**6 cycles, as the margins'
         # memory depends only on the length.  Full-length margins peaked at
@@ -676,3 +705,52 @@ class TestVerdict:
     def test_all_zero_steps_regular(self, tripod):
         trace = iterate(tripod.space, tripod.sets, tripod.start("midpoint"), 10)
         assert verdict(trace).classification == "Regular"
+
+    @staticmethod
+    def old_verdict(trace):
+        """The classification, final step and tail minimum by the formulas of
+        the earlier verdict, with a one-step tail never NotRegular."""
+        rs = trace.r[1:] if trace.completed >= 2 else trace.r
+        tail = rs[-max(1, math.ceil(0.2 * len(rs))):]
+        tail_min, tail_max, final_r = float(np.min(tail)), float(np.max(tail)), float(rs[-1])
+        non_increasing = bool(np.all(np.diff(tail) <= 1e-12)) if len(tail) >= 2 else True
+        if final_r < 1e-6 and non_increasing:
+            cls = "Regular"
+        elif tail_min >= 1e-5 and tail_max - tail_min <= 1e-6 * tail_max and len(tail) >= 2:
+            cls = "NotRegular"
+        else:
+            cls = "Inconclusive"
+        return cls, final_r, tail_min
+
+    @staticmethod
+    def old_tail_slope(trace):
+        lo = trace.completed - math.ceil(0.2 * (trace.completed - 1))
+        if trace.completed - lo < 10 or not trace.r[lo:].min() > 0.0:
+            return None
+        return rate_fit(trace, (lo, trace.completed - 1)).slope
+
+    @pytest.mark.parametrize("n", [*range(1, 31), 46, 47, 48, 60, 200])
+    def test_tail_rule_matches_the_earlier_formulas(self, n):
+        index = np.arange(n, dtype=float)
+        rows = [np.ones(n), 0.5 ** index, 1e-8 * 0.9 ** index, (index + 1.0) ** -0.6,
+                np.where(index % 2 == 0, 1.0, 1.0 + 1e-9), np.zeros(n),
+                np.r_[np.ones(n - 1), 0.0], np.r_[np.ones(max(n - 1, 0)) * 1e-7, 2e-7][-n:]]
+        for r in rows:
+            trace = synthetic_trace(r)
+            got = verdict(trace)
+            assert (got.classification, got.final_r, got.liminf_r) == self.old_verdict(trace)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert _tail_slope(trace) == self.old_tail_slope(trace)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_step_tail_is_not_not_regular(self, tripod, n):
+        scenario = build_plane_two_lines(math.pi / 4.0)
+        lines = iterate(scenario.space, scenario.sets, scenario.start(), n)
+        steps = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), n)
+        assert verdict(lines).classification == "Inconclusive"
+        assert verdict(steps).classification == "Inconclusive"
+
+    def test_two_step_tail_can_be_not_regular(self, tripod):
+        trace = iterate(tripod.space, tripod.sets, tripod.start("endpoint"), 7)
+        assert verdict(trace).classification == "NotRegular"

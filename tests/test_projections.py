@@ -657,11 +657,15 @@ class TestCrossDisc:
         with pytest.raises(AmbiguousProjectionError):
             project(chain, CrossDisc(1), x)
 
-    @pytest.mark.parametrize("index", [1.5, 3, -1])
+    @pytest.mark.parametrize("index", [1.5, 3, -1, True])
     def test_bad_disc_index_rejected(self, index):
         message = re.escape(f"disc_index must be 0, 1 or 2, got {index!r}")
         with pytest.raises(ValueError, match=message):
             CrossDisc(index)
+
+    def test_numpy_disc_index_accepted(self, chain):
+        x = ChainPoint(0.02, 0.07, 2.6)
+        assert project(chain, CrossDisc(np.int64(1)), x) == project(chain, CrossDisc(1), x)
 
     def test_projected_distance_is_metric_distance(self, chain):
         x = ChainPoint(0.02, 0.07, 2.6)

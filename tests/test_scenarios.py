@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ class TestTripodBuilder:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError):
             build_tripod_counterexample(2)
+
+    @pytest.mark.parametrize("k", [3.0, True, "3"])
+    def test_non_integral_k_rejected_before_building(self, monkeypatch, k):
+        import cycproj.scenarios
+
+        def unbuilt(*args):
+            raise AssertionError("built a tree")
+
+        monkeypatch.setattr(cycproj.scenarios.StarTree, "unit", unbuilt)
+        with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
+            build_tripod_counterexample(k)
 
 
 class TestPlaneTwoSetsBuilder:

@@ -271,3 +271,15 @@ def test_interrupted_worker_ends_at_once():
     with pytest.raises(BrokenProcessPool):
         verify._run_parts([interrupt_own_worker], 0)
     assert multiprocessing.active_children() == []
+
+
+def test_two_set_checks_fail_on_a_nan_margin():
+    # b_n = a_{n+1} = 1e155, so every energy term is inf - inf = NaN
+    far = Segment(PlanePoint(-1.0, 1e155), PlanePoint(1.0, 1e155))
+    from cycproj.engine import iterate
+
+    trace = iterate(Plane(), (AxisLine(), far), PlanePoint(3.0, 0.0), 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = {check.name: check for check in verify._two_set_checks("far", trace, "far")}
+    assert not checks["far-energy"].passed
+    assert math.isnan(checks["far-energy"].worst)

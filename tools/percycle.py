@@ -93,6 +93,15 @@ def per_call_us(tag: str, projector, args: tuple, runs: int, calls: int) -> list
     return timed_us([(tag, run)], runs, calls)[0][1]
 
 
+def per_call_rows(runs: int):
+    """(solver tag, µs per call of each of ``runs`` runs) per projector tag, then
+    ``newton:axis``'s µs per foot of ``_epigraph_feet``."""
+    for tag, projector, args in projector_calls():
+        yield tag, per_call_us(tag, projector, args, runs, CALLS)
+    yield from timed_us([("newton:axis", lambda: _epigraph_feet(0.5, 100.0, CALLS, [], []))],
+                        runs, CALLS)
+
+
 def timed_us(layers: list, runs: int, per: int) -> list[tuple[str, list[float]]]:
     """(layer, µs per unit of each of ``runs`` runs) of each (layer, call) in ``layers``,
     where one call does ``per`` units."""
@@ -133,30 +142,26 @@ def diagnostics_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
                      ("verdict", lambda: verdict(trace))], runs, 1)
 
 
+def print_table(heading: str, column: str, unit: str, rows) -> None:
+    """Print ``heading``, the column titles and each (label, times) row's fastest
+    and slowest time; ``rows`` may be lazy, so each row prints as it is timed."""
+    print(heading)
+    print(f"{column:<25} {'min ' + unit:>12} {'max ' + unit:>12}")
+    for label, times in rows:
+        print(f"{label:<25} {min(times):>12.2f} {max(times):>12.2f}")
+
+
 def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYCLES,
          diagnostics_cycles: int = DIAGNOSTICS_CYCLES) -> int:
-    print(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
-          f"{platform.python_version()}, {platform.machine()}")
-    print(f"{'scenario':<25} {'min us/cycle':>12} {'max us/cycle':>12}")
-    for label, name, stride in ROWS:
-        times = per_cycle_us(name, runs, cycles, stride)
-        print(f"{label:<25} {min(times):>12.2f} {max(times):>12.2f}")
-    print(f"# min of {runs} runs of {CALLS} projector calls")
-    print(f"{'solver':<25} {'min us/call':>12} {'max us/call':>12}")
-    for tag, projector, args in projector_calls():
-        times = per_call_us(tag, projector, args, runs, CALLS)
-        print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
-    for tag, times in timed_us([("newton:axis", lambda: _epigraph_feet(0.5, 100.0, CALLS, [], []))],
-                               runs, CALLS):
-        print(f"{tag:<25} {min(times):>12.2f} {max(times):>12.2f}")
-    print(f"# min of {runs} runs on one {export_cycles}-cycle twisted-chain trace")
-    print(f"{'export layer':<25} {'min us/row':>12} {'max us/row':>12}")
-    for layer, times in export_us(runs, export_cycles):
-        print(f"{layer:<25} {min(times):>12.2f} {max(times):>12.2f}")
-    print(f"# min of {runs} runs on one {diagnostics_cycles}-cycle plane-two-sets trace")
-    print(f"{'diagnostics layer':<25} {'min us/call':>12} {'max us/call':>12}")
-    for layer, times in diagnostics_us(runs, diagnostics_cycles):
-        print(f"{layer:<25} {min(times):>12.2f} {max(times):>12.2f}")
+    print_table(f"# min of {runs} runs of {cycles}-cycle iterate; Python "
+                f"{platform.python_version()}, {platform.machine()}", "scenario", "us/cycle",
+                ((label, per_cycle_us(name, runs, cycles, stride)) for label, name, stride in ROWS))
+    print_table(f"# min of {runs} runs of {CALLS} projector calls", "solver", "us/call",
+                per_call_rows(runs))
+    print_table(f"# min of {runs} runs on one {export_cycles}-cycle twisted-chain trace",
+                "export layer", "us/row", export_us(runs, export_cycles))
+    print_table(f"# min of {runs} runs on one {diagnostics_cycles}-cycle plane-two-sets trace",
+                "diagnostics layer", "us/call", diagnostics_us(runs, diagnostics_cycles))
     return 0
 
 
