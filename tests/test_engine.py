@@ -739,9 +739,7 @@ class TestVerdict:
             trace = synthetic_trace(r)
             got = verdict(trace)
             assert (got.classification, got.final_r, got.liminf_r) == self.old_verdict(trace)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert _tail_slope(trace) == self.old_tail_slope(trace)
+            assert _tail_slope(trace) == self.old_tail_slope(trace)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_step_tail_is_not_not_regular(self, tripod, n):
