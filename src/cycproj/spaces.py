@@ -212,7 +212,7 @@ class StarTree:
 
     def point(self, leg: int, offset: float) -> StarPoint:
         """The point ``offset`` out along ``leg``, which must be integral (1.0 but not 0.7)."""
-        if not float(leg).is_integer():
+        if not (_is_integer(leg) or isinstance(leg, float) and leg.is_integer()):
             raise ValueError(f"leg index must be an integer, got {leg!r}")
         p = StarPoint(int(leg), float(offset))
         self._check(p)

@@ -3,8 +3,9 @@
 CSV layout is fixed for downstream plotting: columns ``n, r, s, a, b``
 followed by the coordinates of x_n, named by the space's ``coord_names``.
 Scalars missing at an index (NaN diagnostics, steps past the end, decimated
-points) are written as empty fields.  Files are UTF-8 with a header row,
-'.' decimals, and LF line ends.
+points) are written as empty fields, and NaN as JSON null; +inf and -inf are
+``inf`` and ``-inf`` in both formats, and JSON output is strict.  Files are
+UTF-8 with a header row, '.' decimals, and LF line ends.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 import numbers
 from itertools import zip_longest
+
+import numpy as np
 
 from .engine import RegularityVerdict, Trace, _sum_r_sq, _tail_slope
 
@@ -63,14 +66,6 @@ def read_trace_csv(path) -> dict[str, list]:
     return columns
 
 
-def _clean(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
-
-
 def summary_dict(trace: Trace, v: RegularityVerdict | None, *, scenario: str,
                  params: dict, slope: float | None = None) -> dict:
     """The stable machine-readable run summary; a failed run adds its ``failure`` text.
@@ -81,13 +76,13 @@ def summary_dict(trace: Trace, v: RegularityVerdict | None, *, scenario: str,
     """
     summary = {
         "scenario": scenario,
-        "params": {k: int(val) if isinstance(val, numbers.Integral) else _clean(float(val))
+        "params": {k: int(val) if isinstance(val, numbers.Integral) else float(val)
                    for k, val in params.items()},
         "n": trace.completed,
         "verdict": v and v.classification,
-        "final_r": v and _clean(v.final_r),
-        "liminf_r": v and _clean(v.liminf_r),
-        "slope": _clean(slope if slope is not None else _tail_slope(trace)),
+        "final_r": v and v.final_r,
+        "liminf_r": v and v.liminf_r,
+        "slope": slope if slope is not None else _tail_slope(trace),
         "sums": {"r_sq": _sum_r_sq(trace)},
         "failed": trace.failed,
     }
@@ -96,29 +91,32 @@ def summary_dict(trace: Trace, v: RegularityVerdict | None, *, scenario: str,
     return summary
 
 
-def _array_json(arr) -> list | None:
-    """The array as a list of floats, with null for NaN."""
-    if arr is None:
-        return None
-    return [None if v != v else v for v in arr.tolist()]
+def _json_value(value):
+    """The one non-finite rule, through dicts and arrays: NaN as null, ±inf as "inf" and
+    "-inf"; a list, such as the trace's points (finite by construction), passes as it is."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):  # a Python call only for each non-finite slot
+        out = value.tolist()
+        for i in np.flatnonzero(~np.isfinite(value)).tolist():
+            out[i] = _json_value(out[i])
+        return out
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else "inf" if value > 0 else "-inf"
+    return value
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as one line of JSON with sorted keys, streamed by ``json.dump``
-    (``json.dumps`` is faster but holds every chunk of the document at once)."""
+    """Write ``obj``, a summary or a list of sweep entries, as one line of strict JSON
+    with sorted keys, streamed by ``json.dump`` (``json.dumps`` is faster but holds
+    every chunk of the document at once)."""
+    payload = list(map(_json_value, obj)) if isinstance(obj, list) else _json_value(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def write_trace_json(trace: Trace, summary: dict, path) -> None:
-    payload = dict(summary)
-    payload["trace"] = {
-        "point_indices": trace.point_indices.tolist(),
-        "points": trace.coords,
-        "r": _array_json(trace.r),
-        "s": _array_json(trace.s),
-        "a": _array_json(trace.a),
-        "b": _array_json(trace.b),
-    }
-    write_json(payload, path)
+    write_json({**summary, "trace": {
+        "point_indices": trace.point_indices, "points": trace.coords,
+        "r": trace.r, "s": trace.s, "a": trace.a, "b": trace.b}}, path)

@@ -73,6 +73,7 @@ from .spaces import (
     StarPoint,
     StarTree,
     TwistedChain,
+    _is_integer,
     cn_check,
     comparison_angle,
 )
@@ -608,6 +609,8 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    if not (_is_integer(seed) and seed >= 0):  # two suites draw nothing, so check it here
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if name == "all":
         results: list[CheckResult] = []
         for suite in SUITES.values():

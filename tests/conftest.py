@@ -1,7 +1,10 @@
-"""Shared fixtures: scenario builders, cached long runs and seed-0 verify suites."""
+"""Shared fixtures: scenario builders, cached long runs, seed-0 verify suites
+and a strict JSON parser."""
 
 from __future__ import annotations
 
+import functools
+import json
 import time
 
 import pytest
@@ -46,3 +49,13 @@ def seed0_suites():
         results = suite(0)
         runs[name] = (results, time.perf_counter() - t0)
     return runs
+
+
+@pytest.fixture(scope="session")
+def strict_json():
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``, which are not
+    JSON although Python's default parser accepts them."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return functools.partial(json.loads, parse_constant=refuse)

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from cycproj.cli import main
+from cycproj.engine import iterate
 from cycproj.scenarios import build_scenario
 from cycproj.traceio import read_trace_csv
 from cycproj.verify import run_suite
@@ -49,6 +50,17 @@ def extreme_run_argv(rng: random.Random) -> list[str]:
         coords = f"{value()!r},{value()!r}"
     return ["run", scenario, *param, f"--start-coords={coords}", "--n", "10",
             "--format", "json"]
+
+
+# two-lines from here: the first step, x_0 to its foot on the axis, overflows to inf
+OVERFLOW_START = "--start-coords=-1.7e308,1.7e308"
+
+
+def overflow_trace(n: int):
+    """The ``n``-cycle two-lines trace from ``OVERFLOW_START``, in memory."""
+    scenario = build_scenario("two-lines")
+    start = scenario.space.from_coords([-1.7e308, 1.7e308])
+    return iterate(scenario.space, scenario.sets, start, n)
 
 
 def interrupt_the_first_run(args):
@@ -217,7 +229,7 @@ class TestRun:
                        "--out", str(tmp_path / "done.csv")) == 2
         assert "lies outside the trace (n=50)" in capsys.readouterr().err
 
-    def test_extreme_inputs_exit_by_the_contract(self, tmp_path, capsys):
+    def test_extreme_inputs_exit_by_the_contract(self, tmp_path, capsys, strict_json):
         # 0 for a run, 2 for a usage error, 3 for a numerical failure with its flagged trace
         rng = random.Random(0)
         seen = set()
@@ -227,12 +239,50 @@ class TestRun:
             code = run_cli(*argv, "--out", str(out))
             assert code in (0, 2, 3), argv
             if code != 2:
-                payload = json.loads(out.read_text())
+                payload = strict_json(out.read_text())
                 assert payload["failed"] is (code == 3), argv
                 assert bool(payload.get("failure")) is (code == 3), argv
             seen.add(code)
         assert seen == {0, 2, 3}
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scenario", ["tripod", "twisted-chain", "plane-two-sets"])
+    def test_golden_json_runs_are_strict_json(self, tmp_path, scenario, strict_json):
+        out = tmp_path / "run.json"
+        assert run_cli("run", scenario, "--format", "json", "--out", str(out)) == 0
+        assert strict_json(out.read_text())["trace"]["r"]
+
+    def test_overflowed_step_is_inf_in_both_formats(self, tmp_path, strict_json):
+        # the first step, from (-1.7e308, 1.7e308) to the axis, overflows to inf
+        trace = overflow_trace(5)
+        json_out, csv_out = tmp_path / "run.json", tmp_path / "run.csv"
+        for out in (json_out, csv_out):
+            assert run_cli("run", "two-lines", "--n", "5", OVERFLOW_START,
+                           "--format", out.suffix[1:], "--out", str(out)) == 0
+        written = strict_json(json_out.read_text())["trace"]
+        assert written["r"][0] == written["b"][0] == "inf"
+        assert "\n0,inf,," in csv_out.read_text()
+        columns = read_trace_csv(csv_out)
+        spelled = {"inf": math.inf, "-inf": -math.inf, None: math.nan}
+        for name in "rsab":
+            expected = list(map(float.hex, getattr(trace, name).tolist()))
+            from_json = [spelled[v] if v in spelled else v for v in written[name]]
+            from_csv = [math.nan if v is None else v for v in columns[name][:len(expected)]]
+            assert list(map(float.hex, from_json)) == expected, name
+            assert list(map(float.hex, from_csv)) == expected, name
+
+    def test_overflowed_final_step_prints_and_writes_inf(self, tmp_path, capsys, strict_json):
+        run_out, sweep_out = tmp_path / "run.json", tmp_path / "sweep.json"
+        assert run_cli("run", "two-lines", "--n", "1", OVERFLOW_START,
+                       "--format", "json", "--out", str(run_out)) == 0
+        assert "final_r=inf liminf_r=inf" in capsys.readouterr().out
+        assert run_cli("sweep", "two-lines", "--param", "theta", "--values", repr(math.pi / 4),
+                       "--n", "1", OVERFLOW_START, "--out", str(sweep_out)) == 0
+        [entry] = strict_json(sweep_out.read_text())
+        payload = strict_json(run_out.read_text())
+        assert payload["final_r"] == payload["liminf_r"] == entry["final_r"] == "inf"
+        del payload["trace"], entry["grid_index"]
+        assert entry == payload
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CYCPROJ_OUT_DIR", str(tmp_path))
@@ -402,6 +452,11 @@ class TestVerify:
             "chain-power-not-regular": 0.0,
         }
 
+    @pytest.mark.parametrize("suite", ["metric", "all", "two-set", "counterexamples"])
+    def test_negative_seed_is_usage_error(self, suite, capsys):
+        assert run_cli("verify", suite, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_unknown_suite(self, capsys):
         assert run_cli("verify", "bogus") == 2
 
@@ -473,6 +528,12 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a worker process died: ")
         assert not (tmp_path / "sweep.json").exists()
+
+    def test_sweep_is_strict_json(self, tmp_path, strict_json):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "tripod", "--param", "k", "--values", "3,5", "--n", "50",
+                       "--out", str(out)) == 0
+        assert [entry["params"]["k"] for entry in strict_json(out.read_text())] == [3, 5]
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -511,6 +511,24 @@ class TestCrossingSegments:
         for end in (seg.start, seg.end):  # found exactly, where every square underflows
             assert project_segment_tree_exact(space, seg, end).point == end
 
+    def test_segment_too_short_to_square_with_two_pieces(self):
+        # every square underflows; the left coordinate passes its center at t = 4/5,
+        # and the right factor's term is what puts the foot on the first piece
+        tiny = 1e-170
+        space = ProductSpace(StarTree.unit(3), StarTree.unit(3))
+        seg = Segment(ProductPoint(StarPoint(1, 4 * tiny), StarPoint(2, 3 * tiny)),
+                      ProductPoint(StarPoint(2, tiny), StarPoint(2, 4 * tiny)))
+        x = ProductPoint(StarPoint(1, tiny), StarPoint(0, 0.0))
+        t, value = fraction_foot(seg, x)
+        assert 0 < t < Fraction(4, 5)
+        res = project_segment_tree_exact(space, seg, x)
+        assert res.distance == pytest.approx(tiny * math.sqrt(value / Fraction(tiny) ** 2),
+                                             rel=1e-15)
+        for tree, a, b, got in ((space.left, seg.start.left, seg.end.left, res.point.left),
+                                (space.right, seg.start.right, seg.end.right, res.point.right)):
+            leg, off = fraction_path_point(a, b, t)
+            assert tree.distance(got, StarPoint(leg if off else 0, float(off))) <= 1e-15 * tiny
+
     @pytest.mark.parametrize("short_leg, start", [
         # -0.1 + (0.1 + 0.3) rounds past the short leg's end, 0.3
         (0.3, StarPoint(0, 0.1)),
@@ -701,6 +719,11 @@ class TestDispatcher:
         assert project(tree, leg_seg, StarPoint(1, 0.4)).solver == "golden_section"
         seg = Segment(PlanePoint(-1, -1), PlanePoint(1, 1))
         assert project(PLANE, seg, PlanePoint(3.0, 0.5)).solver == "closed_form"
+
+    def test_zero_length_plane_segment_is_its_point(self):
+        seg = Segment(PlanePoint(1.0, 2.0), PlanePoint(1.0, 2.0))
+        res = project(PLANE, seg, PlanePoint(4.0, 6.0))
+        assert (res.point, res.distance, res.solver) == (PlanePoint(1.0, 2.0), 5.0, "closed_form")
 
     @pytest.mark.parametrize("start, end, x", [
         (PlanePoint(0, 0), PlanePoint(1, 0), StarPoint(0, 0.5)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestStarTree:
         assert tree.point(1.0, 0.3) == StarPoint(1, 0.3)  # as a CSV writes leg 1
         assert tree.point(0.0, 0.3) == StarPoint(0, 0.3)
 
+    @pytest.mark.parametrize("leg", [1, np.int64(1), 1.0, np.float64(1.0)])
+    def test_point_takes_an_integer_or_integral_float_leg(self, tree, leg):
+        assert tree.point(leg, 0.3) == tree.from_coords((leg, 0.3)) == StarPoint(1, 0.3)
+
+    @pytest.mark.parametrize("leg", [True, False, np.True_])
+    def test_point_refuses_a_bool_leg(self, tree, leg):
+        message = re.escape(f"leg index must be an integer, got {leg!r}")
+        with pytest.raises(ValueError, match=message):
+            tree.point(leg, 0.3)
+        with pytest.raises(ValueError, match=message):
+            tree.from_coords((leg, 0.3))
+
     @pytest.mark.parametrize("leg", [None, 1.5, "0"])
     def test_non_integer_leg_is_named(self, tree, leg):
         # StarPoint does not check its leg; the tree's check names it
@@ -177,6 +190,12 @@ class TestProduct:
         plane = Plane()
         mid = plane.geodesic(PlanePoint(0, 0), PlanePoint(2, 2), 0.5)
         assert mid == PlanePoint(1.0, 1.0)
+
+    def test_plane_geodesic_ends_are_exact(self):
+        # 0.3 + 1.0 * (0.9 - 0.3) rounds to 0.9000000000000001, so t = 1 must return q itself
+        p, q = PlanePoint(0.3, 0.2), PlanePoint(0.9, 0.9)
+        assert Plane().geodesic(p, q, 0.0) == p
+        assert Plane().geodesic(p, q, 1.0) == q
 
     def test_mismatched_point_rejected(self, product):
         with pytest.raises(TypeError):
@@ -267,6 +286,16 @@ class TestTwistedChain:
                          math.sin(a) * q.u + math.cos(a) * q.v,
                          q.height + chain.circumference)
         assert abs(chain.distance(p, q) - chain.distance(p, q2)) < 1e-12
+
+    @pytest.mark.parametrize("twist, loops", [(0.4, 1), (2.3, -2), (-1.1, 3)])
+    def test_holonomy_rotates_by_loops_times_twist(self, twist, loops):
+        # climbing ``loops`` loops rotates the disc by loops * twist, which a
+        # twist of 1.0 cannot tell from loops / twist
+        chain = TwistedChain(radius=0.1, circumference=3.0, twist=twist)
+        u, v, height = 0.03, 0.04, 0.7
+        c, s = math.cos(loops * twist), math.sin(loops * twist)
+        p = chain.point(c * u - s * v, s * u + c * v, height + loops * chain.circumference)
+        assert (p.u, p.v, p.height) == pytest.approx((u, v, height), abs=1e-15)
 
     @staticmethod
     def per_k_distance(chain, p, q):

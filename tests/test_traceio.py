@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
 
 from cycproj import ChainPoint, ProductPoint, StarPoint, build_scenario, iterate, verdict
-from cycproj.traceio import read_trace_csv, summary_dict, write_trace_csv, write_trace_json
+from cycproj.traceio import (read_trace_csv, summary_dict, write_json, write_trace_csv,
+                             write_trace_json)
 
 
 def decode_edges(name, space):
@@ -88,18 +88,33 @@ def test_decimated_csv_has_empty_coordinate_cells(tmp_path):
     assert columns["x"][7] is None  # decimated away
 
 
-def test_json_payload_is_valid_json_with_nulls(tmp_path):
+def test_json_payload_is_valid_json_with_nulls(tmp_path, strict_json):
     scenario = build_scenario("plane-two-sets", epsilon=0.5)
     trace = iterate(scenario.space, scenario.sets, scenario.start(), 10)
     summary = summary_dict(trace, verdict(trace), scenario=scenario.name,
                            params=dict(scenario.params))
     path = tmp_path / "trace.json"
     write_trace_json(trace, summary, path)
-    payload = json.loads(path.read_text())  # NaN would make this raise
+    payload = strict_json(path.read_text())
     assert payload["trace"]["a"][0] is None
     assert payload["trace"]["s"][0] is None
     assert len(payload["trace"]["r"]) == 10
     assert payload["n"] == 10
+
+
+def test_write_json_spells_every_non_finite_value(tmp_path, strict_json):
+    path = tmp_path / "sweep.json"
+    write_json([{"final_r": -math.inf, "liminf_r": math.inf, "sums": {"r_sq": math.nan}},
+                {"error": "bad", "grid_index": 1}], path)
+    assert strict_json(path.read_text()) == [
+        {"final_r": "-inf", "liminf_r": "inf", "sums": {"r_sq": None}},
+        {"error": "bad", "grid_index": 1}]
+
+
+def test_write_json_refuses_a_value_the_rule_does_not_reach(tmp_path):
+    # a list passes as it is, so a non-finite value in one is refused, not written
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"points": [(math.inf, 0.0)]}, tmp_path / "bad.json")
 
 
 @pytest.mark.parametrize("row", ["1,0.25,0.1", "1,0.25,0.1,,0.2,1.5,0.0,7"])

@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -216,6 +217,17 @@ def test_in_process_suites_make_the_pinned_iterate_calls(monkeypatch):
         for name in ("two-set", "counterexamples"):
             verify.run_suite(name, seed)
         assert (len(counted), sum(counted)) == (22, 10_850)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, np.int64(-3)])
+@pytest.mark.parametrize("name", ["all", "two-set", "counterexamples"])
+def test_every_suite_refuses_a_bad_seed_before_it_runs(monkeypatch, name, seed):
+    # two-set and counterexamples draw nothing, so only run_suite can see the seed;
+    # with iterate gone, a suite that ran first would raise TypeError instead
+    monkeypatch.setattr(verify, "iterate", None)
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite(name, seed)
 
 
 def field_reprs(results):
