@@ -291,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help (0) or a bad flag or config value (2)
         return int(exc.code or 0)
     except _USAGE_ERRORS as exc:
-        message = exc.args[0] if exc.args else exc
+        # an OSError's args[0] is its errno, and str() of a KeyError quotes its text
+        message = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # imported here, as the pool is: start-up needs neither

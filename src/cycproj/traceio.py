@@ -5,7 +5,9 @@ followed by the coordinates of x_n, named by the space's ``coord_names``.
 Scalars missing at an index (NaN diagnostics, steps past the end, decimated
 points) are written as empty fields, and NaN as JSON null; +inf and -inf are
 ``inf`` and ``-inf`` in both formats, and JSON output is strict.  Files are
-UTF-8 with a header row, '.' decimals, and LF line ends.
+UTF-8 with a header row, '.' decimals, and LF line ends, and are written block
+by block, ``_BLOCK`` rows or list items at a time, so a write's memory does not
+grow with the trace; each JSON block passes the one non-finite rule, ``_json_value``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import json
 import math
 import numbers
-from itertools import zip_longest
+from bisect import bisect_left
 
 import numpy as np
 
@@ -28,24 +30,36 @@ __all__ = [
     "write_json",
 ]
 
+_BLOCK = 512  # rows, or list items, encoded at a time: the bound on a write's memory
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return repr(float(value))
+
+def _cells(values: np.ndarray, width: int = 0) -> list[str]:
+    """A float column's CSV cells: ``repr``, or empty for NaN, padded to ``width``."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells + [""] * (width - len(cells))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """One row per cycle index 0..completed; coords only where stored."""
-    space = trace.space
-    stored = dict(zip(trace.point_indices.tolist(), trace.coords))
-    blank = (None,) * len(space.coord_names)  # _fmt writes None as an empty field
-    scalars = [() if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
+    """One row per cycle index 0..completed; coords only where stored.  Rows are
+    encoded ``_BLOCK`` at a time, column by column, and written a block per call."""
+    names = trace.space.coord_names
+    blank = "," * (len(names) - 1)  # the empty coordinate cells of a row with no stored point
+    scalars = [np.empty(0) if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
+    indices, rows, j = trace.point_indices.tolist(), trace.completed + 1, 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "r", "s", "a", "b", *space.coord_names])
-        for i, *values in zip_longest(range(trace.completed + 1), *scalars):
-            writer.writerow([str(i), *map(_fmt, values), *map(_fmt, stored.get(i, blank))])
+        fh.write(",".join(["n", "r", "s", "a", "b", *names]) + "\n")
+        for lo in range(0, rows, _BLOCK):
+            hi = min(lo + _BLOCK, rows)
+            k = bisect_left(indices, hi, j)  # the stored points of this block are j..k-1
+            stored = iter(_cells(np.array(trace.coords[j:k], dtype=float).ravel()))
+            points = [blank] * (hi - lo)
+            for i, point in zip(indices[j:k], map(",".join, zip(*[stored] * len(names)))):
+                points[i - lo] = point
+            cells = [_cells(col[lo:hi], hi - lo) for col in scalars]
+            fh.write("\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells, points))) + "\n")
+            j = k
 
 
 def read_trace_csv(path) -> dict[str, list]:
@@ -106,13 +120,34 @@ def _json_value(value):
     return value
 
 
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # the C encoder
+
+
+def _json_chunks(value):
+    """The strict JSON text of ``value`` in pieces: a dict key by key, in sorted order,
+    and a list or array ``_BLOCK`` items at a time."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{_encode(key)}: "
+            yield from _json_chunks(value[key])
+        yield "}"
+    elif isinstance(value, (list, np.ndarray)) and len(value) > _BLOCK:
+        yield "["
+        for lo in range(0, len(value), _BLOCK):
+            yield f"{', ' if lo else ''}{_encode(_json_value(value[lo:lo + _BLOCK]))[1:-1]}"
+        yield "]"
+    else:
+        yield _encode(_json_value(value))
+
+
 def write_json(obj, path) -> None:
     """Write ``obj``, a summary or a list of sweep entries, as one line of strict JSON
-    with sorted keys, streamed by ``json.dump`` (``json.dumps`` is faster but holds
-    every chunk of the document at once)."""
-    payload = list(map(_json_value, obj)) if isinstance(obj, list) else _json_value(obj)
+    with sorted keys, block by block (``_json_chunks``): each block passes the one
+    non-finite rule, ``_json_value``, and the C encoder, never the whole document."""
+    payload = list(map(_json_value, obj)) if isinstance(obj, list) else obj
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, allow_nan=False)
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
 
 

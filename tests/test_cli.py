@@ -106,6 +106,18 @@ class TestRun:
         assert run_cli("run", "unknown-name") == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, target, reason", [
+        ("--config", "missing.cfg", "No such file or directory"),
+        ("--out", "missing/x.csv", "No such file or directory"),
+        ("--out", ".", "Is a directory"),
+    ], ids=["config-missing", "out-in-missing-directory", "out-is-a-directory"])
+    def test_file_errors_print_the_message_and_path(self, tmp_path, capsys, flag, target,
+                                                     reason):
+        path = str(tmp_path / target)
+        assert run_cli("run", "tripod", "--n", "3", flag, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and reason in err and path in err
+
     def test_bad_epsilon_is_usage_error(self, tmp_path, capsys):
         assert run_cli("run", "plane-two-sets", "--epsilon", "-1",
                        "--out", str(tmp_path / "x.csv")) == 2

@@ -25,8 +25,8 @@ def test_table_has_a_row_per_scenario(capsys):
     assert list(cycles) == [*percycle.SCENARIOS, "plane-two-sets:stride=100"]
     assert list(calls) == ["exact_piecewise", "golden_section", "closed_form", "newton",
                            "newton:axis"]
-    assert list(rows) == ["write_trace_csv", "write_trace_json", "write_trace_json:two-set",
-                          "read_trace_csv", "Trace.points"]
+    assert list(rows) == ["write_trace_csv", "write_trace_csv:two-set", "write_trace_json",
+                          "write_trace_json:two-set", "read_trace_csv", "Trace.points"]
     assert list(diag) == ["two_set_diagnostics", "rate_fit", "verdict"]
     for low, high in [*cycles.values(), *calls.values(), *rows.values(), *diag.values()]:
         assert 0.0 < float(low) <= float(high)

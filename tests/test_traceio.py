@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+import tracemalloc
 
 import pytest
 
-from cycproj import ChainPoint, ProductPoint, StarPoint, build_scenario, iterate, verdict
-from cycproj.traceio import (read_trace_csv, summary_dict, write_json, write_trace_csv,
-                             write_trace_json)
+from cycproj import ChainPoint, ProductPoint, StarPoint, build_scenario, iterate, traceio, verdict
+from cycproj.traceio import (_json_value, read_trace_csv, summary_dict, write_json,
+                             write_trace_csv, write_trace_json)
+
+# the writers encode this many rows or items at a time; a writer without blocks is
+# checked at the same sizes
+BLOCK = getattr(traceio, "_BLOCK", 512)
+EDGES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+SCENARIOS = ("tripod", "twisted-chain", "plane-two-sets", "two-lines")
 
 
 def decode_edges(name, space):
@@ -131,3 +141,98 @@ def test_empty_csv_names_the_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty.csv: empty trace file"):
         read_trace_csv(path)
+
+
+def expected_csv(trace) -> bytes:
+    """The trace's CSV by ``csv.writer``, a row at a time: ``repr`` cells, empty for
+    NaN, for a step past the end and for the coordinates of a point not stored."""
+    def cell(value) -> str:
+        return "" if math.isnan(value) else repr(float(value))
+
+    names = trace.space.coord_names
+    stored = dict(zip(trace.point_indices.tolist(), trace.coords))
+    columns = [() if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "r", "s", "a", "b", *names])
+    for i in range(trace.completed + 1):
+        writer.writerow([str(i), *(cell(col[i]) if i < len(col) else "" for col in columns),
+                         *(map(cell, stored[i]) if i in stored else [""] * len(names))])
+    return buf.getvalue().encode()
+
+
+def expected_json(payload) -> bytes:
+    """``json.dumps`` of the payload after the non-finite rule, in one piece."""
+    clean = list(map(_json_value, payload)) if isinstance(payload, list) else _json_value(payload)
+    return (json.dumps(clean, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def overflow_trace(n: int):
+    """A two-lines trace whose first step overflows: its columns hold inf and NaN."""
+    scenario = build_scenario("two-lines")
+    start = scenario.space.from_coords([-1.7e308, 1.7e308])
+    return scenario, iterate(scenario.space, scenario.sets, start, n)
+
+
+def trace_and_summary(scenario, trace):
+    return trace, summary_dict(trace, verdict(trace), scenario=scenario.name,
+                               params=dict(scenario.params))
+
+
+def assert_writes_expected_bytes(tmp_path, trace, summary):
+    csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+    write_trace_csv(trace, csv_path)
+    assert csv_path.read_bytes() == expected_csv(trace)
+    write_trace_json(trace, summary, json_path)
+    assert json_path.read_bytes() == expected_json({**summary, "trace": {
+        "point_indices": trace.point_indices, "points": trace.coords,
+        "r": trace.r, "s": trace.s, "a": trace.a, "b": trace.b}})
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("cycles", EDGES)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_writers_are_byte_identical_at_block_edges(tmp_path, name, cycles, stride):
+    scenario = build_scenario(name)
+    trace = iterate(scenario.space, scenario.sets, scenario.start(), cycles, stride=stride)
+    assert_writes_expected_bytes(tmp_path, *trace_and_summary(scenario, trace))
+
+
+def test_writers_are_byte_identical_on_overflowed_columns(tmp_path):
+    trace, summary = trace_and_summary(*overflow_trace(5))
+    assert math.isinf(trace.r[0]) and math.isnan(trace.s[0])
+    assert_writes_expected_bytes(tmp_path, trace, summary)
+
+
+@pytest.mark.parametrize("entries", EDGES)
+def test_sweep_list_is_byte_identical_at_block_edges(tmp_path, entries):
+    runs = [trace_and_summary(*overflow_trace(1))[1]]  # final_r and liminf_r are inf
+    for name in SCENARIOS:
+        scenario = build_scenario(name)
+        runs.append(trace_and_summary(scenario, iterate(scenario.space, scenario.sets,
+                                                        scenario.start(), 20))[1])
+    sweep = [{**runs[i % len(runs)], "grid_index": i} if i % 7 else
+             {"error": "epsilon must be positive, got -1.0", "grid_index": i}
+             for i in range(entries)]
+    path = tmp_path / "sweep.json"
+    write_json(sweep, path)
+    assert path.read_bytes() == expected_json(sweep)
+
+
+def peak_mib(write) -> float:
+    """The tracemalloc peak of one call of ``write``, in MiB."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_is_bounded(tmp_path):
+    # a one-shot encoding holds every row's values at once: 25.6 MiB for JSON here
+    scenario = build_scenario("plane-two-sets")
+    trace, summary = trace_and_summary(scenario, iterate(scenario.space, scenario.sets,
+                                                         scenario.start(), 200_000))
+    assert peak_mib(lambda: write_trace_json(trace, summary, tmp_path / "trace.json")) < 2.0
+    assert peak_mib(lambda: write_trace_csv(trace, tmp_path / "trace.csv")) <= 1.61

@@ -21,8 +21,9 @@ export layer on one 10^4-cycle twisted-chain trace from its default start,
 15 times, in µs per row (cycle index 0..n): ``write_trace_csv``,
 ``write_trace_json`` and ``read_trace_csv`` of that CSV, and ``Trace.points``,
 decoding every stored point (one per row) from a fresh copy of the trace;
-its ``write_trace_json:two-set`` row writes a plane-two-sets trace of the
-same length, whose ``s``, ``a`` and ``b`` columns the chain's lacks.
+its ``write_trace_csv:two-set`` and ``write_trace_json:two-set`` rows write a
+plane-two-sets trace of the same length, whose ``s``, ``a`` and ``b`` columns
+the chain's lacks.
 The fourth times the diagnostics layer on one 10^5-cycle plane-two-sets
 trace from its default start, 15 times, in µs per call:
 ``two_set_diagnostics``, ``rate_fit`` over [n/10, n] and ``verdict``.
@@ -128,14 +129,16 @@ def run_and_summary(name: str, cycles: int):
 
 def export_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
     """(layer, µs per row of each of ``runs`` runs) on one ``cycles``-cycle chain trace,
-    and of ``write_trace_json`` on one plane-two-sets trace as long."""
+    and of each writer on one plane-two-sets trace as long."""
     trace, summary = run_and_summary("twisted-chain", cycles)
     two_set, two_set_summary = run_and_summary("plane-two-sets", cycles)
     rows = trace.completed + 1
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, json_path = Path(tmp) / "trace.csv", Path(tmp) / "trace.json"
+        two_set_csv = Path(tmp) / "two-set.csv"  # not csv_path, which read_trace_csv reads
         return timed_us([
             ("write_trace_csv", lambda: write_trace_csv(trace, csv_path)),
+            ("write_trace_csv:two-set", lambda: write_trace_csv(two_set, two_set_csv)),
             ("write_trace_json", lambda: write_trace_json(trace, summary, json_path)),
             ("write_trace_json:two-set",
              lambda: write_trace_json(two_set, two_set_summary, json_path)),
