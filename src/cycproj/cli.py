@@ -10,7 +10,8 @@ line and exit 3.  The run options may also be supplied as ``key=value``
 lines in a ``--config`` file.  Each line is read as the flag it names, placed
 before the command line's flags: argparse converts and checks it as it does
 the flag, and an explicit flag wins.  The only environment variable consulted
-is ``CYCPROJ_OUT_DIR`` (default output directory).
+is ``CYCPROJ_OUT_DIR`` (default output directory).  ``verify`` and ``sweep``
+import ``cycproj.verify`` when they run, so ``run`` and ``rate`` start without it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from . import traceio
 from .engine import iterate, rate_fit, verdict
 from .projections import AmbiguousProjectionError
 from .scenarios import Scenario, build_scenario
-from .verify import fork_map, run_suite, suite_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,6 +39,9 @@ _USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionEr
 # Scenario parameters: the type of their flag and of a swept grid value.
 _SCENARIO_PARAMS = {"epsilon": float, "alpha": float, "radius": float,
                     "circumference": float, "theta": float, "k": int}
+
+# verify.suite_names(), spelled out so that building the parser imports no suite
+_SUITE_NAMES = ("metric", "projections", "two-set", "counterexamples", "all")
 
 # The options a config file may set: every run option but the scenario and --config.
 _CONFIG_KEYS = ("n", "start", "start_coords", "stride", "out", "format", "rate_window",
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_run)
 
     p_verify = sub.add_parser("verify", help="run an invariant suite")
-    p_verify.add_argument("suite", help=f"one of: {', '.join(suite_names())}")
+    p_verify.add_argument("suite", help=f"one of: {', '.join(_SUITE_NAMES)}")
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_rate = sub.add_parser("rate", help="run a scenario and fit the decay rate")
@@ -222,12 +225,15 @@ def _execute_run(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    # rate always fits: over --rate-window, or [n/10, n] without one
+    # rate always fits: over --rate-window, or [n/10, n] without one, which needs two steps
+    if not args.rate_window and args.n < 3:
+        raise ValueError(f"rate needs --n >= 3 to fit a slope, got {args.n}")
     args.rate_window = args.rate_window or (max(1, args.n // 10), args.n)
     return _execute_run(args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
     results = run_suite(args.suite, seed=args.seed)
     for result in results:
         print(result.line())
@@ -248,6 +254,7 @@ def _sweep_worker(payload: tuple) -> tuple[dict, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .verify import fork_map
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     kind = _SCENARIO_PARAMS[args.param]

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 from bisect import bisect_left
+from itertools import chain
 
 import numpy as np
 
@@ -62,22 +63,39 @@ def write_trace_csv(trace: Trace, path) -> None:
             j = k
 
 
+def _extend(columns: list[list], rows: list[list[str]]) -> None:
+    """Append ``rows`` of CSV cells to ``columns``, one call per column: floats, None for
+    empty cells.  A bad cell raises for the rows' first one in file order."""
+    try:
+        for column, cells in zip(columns, zip(*rows)):
+            column.extend(map(float, cells) if "" not in cells else
+                          [float(cell) if cell else None for cell in cells])
+    except ValueError:  # convert again, row by row, to raise for the first bad cell
+        list(map(float, filter(None, chain.from_iterable(rows))))
+        raise
+
+
 def read_trace_csv(path) -> dict[str, list]:
-    """Read a trace CSV back into columns (floats, None for empty fields); a row
-    with more or fewer cells than the header raises ``ValueError``."""
+    """Read a trace CSV back into columns (floats, None for empty fields), ``_BLOCK`` rows
+    at a time; a row with more or fewer cells than the header raises ``ValueError``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         headers = next(reader, None)
         if headers is None:
             raise ValueError(f"{path}: empty trace file, no header row")
-        columns: dict[str, list] = {h: [] for h in headers}
+        columns: list[list] = [[] for _ in headers]
+        block: list[list[str]] = []  # rows read and not yet converted
         for row in reader:
             if len(row) != len(headers):
+                _extend(columns, block)  # a bad cell above this row is the first fault
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, "
                                  f"the header has {len(headers)}")
-            for h, cell in zip(headers, row):
-                columns[h].append(float(cell) if cell != "" else None)
-    return columns
+            block.append(row)
+            if len(block) == _BLOCK:
+                _extend(columns, block)
+                block = []
+        _extend(columns, block)
+    return dict(zip(headers, columns))
 
 
 def summary_dict(trace: Trace, v: RegularityVerdict | None, *, scenario: str,

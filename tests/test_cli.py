@@ -9,15 +9,19 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from cycproj import cli
 from cycproj.cli import main
 from cycproj.engine import iterate
 from cycproj.scenarios import build_scenario
 from cycproj.traceio import read_trace_csv
-from cycproj.verify import run_suite
+from cycproj.verify import run_suite, suite_names
 
 
 def run_cli(*argv) -> int:
@@ -421,6 +425,24 @@ class TestRate:
         assert "plane-two-sets" not in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("scenario, n", [("plane-two-sets", 1), ("plane-two-sets", 2),
+                                             ("tripod", 2)])
+    def test_default_window_needs_three_cycles(self, tmp_path, capsys, scenario, n):
+        out = tmp_path / "rate.csv"
+        assert run_cli("rate", scenario, "--n", str(n), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: rate needs --n >= 3 to fit a slope, got {n}\n"
+        assert not out.exists()  # refused before running
+
+    def test_three_cycles_fit_the_default_window(self, tmp_path, capsys):
+        assert run_cli("rate", "plane-two-sets", "--n", "3", "--out", str(tmp_path / "r.csv")) == 0
+        rate = self.rate_line(capsys.readouterr().out)
+        assert "at n=1:" in rate and "at n=2:" in rate
+
+    def test_explicit_window_outside_a_short_trace_is_unchanged(self, tmp_path, capsys):
+        assert run_cli("rate", "plane-two-sets", "--n", "2", "--rate-window", "1", "2",
+                       "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err == "error: window (1, 2) lies outside the trace (n=2)\n"
+
     def test_rate_window_flag_wins_over_config(self, tmp_path, capsys):
         config = tmp_path / "rate.cfg"
         config.write_text("rate_window=100 200\n")
@@ -471,6 +493,43 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert run_cli("verify", "bogus") == 2
+
+
+# Runs cli.main on each command line in argv, in one fresh interpreter, and prints after
+# each its exit code and whether cycproj.verify is loaded.
+LOADS_VERIFY = """
+import sys
+from cycproj.cli import main
+for command in sys.argv[1:]:
+    code = main(command.split())
+    print("loaded", code, "cycproj.verify" in sys.modules)
+"""
+
+
+def verify_loaded_after(tmp_path, *commands: str) -> list[tuple[int, bool]]:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "CYCPROJ_OUT_DIR": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", LOADS_VERIFY, *commands],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, check=True).stdout
+    return [(int(code), loaded == "True") for _, code, loaded in
+            (line.split() for line in out.splitlines() if line.startswith("loaded "))]
+
+
+class TestImportBoundary:
+    def test_run_and_rate_leave_the_suites_unloaded(self, tmp_path):
+        assert verify_loaded_after(tmp_path, "run tripod --n 5", "rate plane-two-sets --n 50",
+                                   "verify two-set") == [(0, False), (0, False), (0, True)]
+
+    def test_sweep_loads_the_suites(self, tmp_path):
+        assert verify_loaded_after(
+            tmp_path, "sweep plane-two-sets --param epsilon --values 0.5,1 --n 20 --jobs 2"
+        ) == [(0, True)]
+
+    def test_verify_help_names_every_suite(self, capsys):
+        assert cli._SUITE_NAMES == tuple(suite_names())
+        assert run_cli("verify", "--help") == 0
+        assert "one of: metric, projections, two-set, counterexamples, all" in " ".join(
+            capsys.readouterr().out.split())
 
 
 class TestSweep:

@@ -143,6 +143,67 @@ def test_empty_csv_names_the_file(tmp_path):
         read_trace_csv(path)
 
 
+def cell_by_cell_columns(path) -> dict[str, list]:
+    """A trace CSV's columns by ``csv.reader``, a cell at a time: floats, None for empty."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        headers = next(reader)
+        columns = {h: [] for h in headers}
+        for row in reader:
+            for h, cell in zip(headers, row):
+                columns[h].append(float(cell) if cell else None)
+    return columns
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_reader_matches_a_cell_by_cell_reader_at_block_edges(tmp_path, name, rows, stride):
+    scenario = build_scenario(name)
+    trace = iterate(scenario.space, scenario.sets, scenario.start(), rows - 1, stride=stride)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    columns = read_trace_csv(path)
+    assert len(columns["n"]) == rows
+    assert repr(columns) == repr(cell_by_cell_columns(path))  # bit for bit, -0.0 included
+
+
+def test_reader_matches_a_cell_by_cell_reader_on_overflowed_columns(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(overflow_trace(5)[1], path)
+    columns = read_trace_csv(path)
+    assert math.isinf(columns["r"][0]) and columns["s"][0] is None
+    assert repr(columns) == repr(cell_by_cell_columns(path))
+
+
+def block_rows(count: int) -> list[str]:
+    """The header and ``count`` well-formed rows of a plane trace CSV."""
+    return ["n,r,s,a,b,x,y", *(f"{i},0.5,,,0.25,1.0,0.0" for i in range(count))]
+
+
+@pytest.mark.parametrize("cells", [8, 6], ids=["too-wide", "too-short"])
+def test_wrong_width_in_the_second_block_names_its_line(tmp_path, cells):
+    lines = block_rows(BLOCK + 10)
+    lines[BLOCK + 6] = ",".join(["1"] * cells)  # row BLOCK + 5, on line BLOCK + 7
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"ragged.csv: line {BLOCK + 7} has {cells} cells, "
+                                         "the header has 7"):
+        read_trace_csv(path)
+
+
+def test_the_first_fault_in_file_order_is_reported(tmp_path):
+    # a bad y above a bad r, both above a short row, all in the second block
+    lines = block_rows(BLOCK + 10)
+    lines[BLOCK + 3] = f"{BLOCK + 2},0.5,,,0.25,1.0,first"
+    lines[BLOCK + 5] = f"{BLOCK + 4},second,,,0.25,1.0,0.0"
+    lines[BLOCK + 7] = "1,0.5"
+    path = tmp_path / "faults.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'first'"):
+        read_trace_csv(path)
+
+
 def expected_csv(trace) -> bytes:
     """The trace's CSV by ``csv.writer``, a row at a time: ``repr`` cells, empty for
     NaN, for a step past the end and for the coordinates of a point not stored."""

@@ -27,20 +27,26 @@ the chain's lacks.
 The fourth times the diagnostics layer on one 10^5-cycle plane-two-sets
 trace from its default start, 15 times, in µs per call:
 ``two_set_diagnostics``, ``rate_fit`` over [n/10, n] and ``verdict``.
+The fifth times start-up, in ms of wall time per fresh interpreter, 15 of
+each: ``import cycproj``, ``import cycproj.cli``, and ``python -m
+cycproj.cli run tripod --n 1`` writing its trace to a temporary file.
 Files go to a temporary directory.  The library is imported from this
-checkout's ``src/``.
+checkout's ``src/``, and the fresh interpreters run with ``PYTHONPATH`` set to it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from cycproj import (  # noqa: E402
     PlanePoint, build_scenario, iterate, project, project_segment_generic, rate_fit,
@@ -156,6 +162,20 @@ def diagnostics_us(runs: int, cycles: int) -> list[tuple[str, list[float]]]:
                      ("verdict", lambda: verdict(trace))], runs, 1)
 
 
+def startup_ms(runs: int) -> list[tuple[str, list[float]]]:
+    """(row, ms of wall time of each of ``runs`` fresh interpreters) per start-up row."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [("import:cycproj", ["-c", "import cycproj"]),
+                ("import:cycproj.cli", ["-c", "import cycproj.cli"]),
+                ("run:tripod:n=1", ["-m", "cycproj.cli", "run", "tripod", "--n", "1",
+                                    "--out", str(Path(tmp) / "tripod.csv")])]
+        # one call is 1000 units, so timed_us's µs per unit are ms per call
+        return timed_us([(label, lambda args=args: subprocess.run(
+            [sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL))
+                         for label, args in rows], runs, 1000)
+
+
 def print_table(heading: str, column: str, unit: str, rows) -> None:
     """Print ``heading``, the column titles and each (label, times) row's fastest
     and slowest time; ``rows`` may be lazy, so each row prints as it is timed."""
@@ -176,6 +196,7 @@ def main(runs: int = RUNS, cycles: int = CYCLES, export_cycles: int = EXPORT_CYC
                 "export layer", "us/row", export_us(runs, export_cycles))
     print_table(f"# min of {runs} runs on one {diagnostics_cycles}-cycle plane-two-sets trace",
                 "diagnostics layer", "us/call", diagnostics_us(runs, diagnostics_cycles))
+    print_table(f"# min of {runs} fresh interpreters", "start-up", "ms", startup_ms(runs))
     return 0
 
 
