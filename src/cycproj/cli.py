@@ -9,9 +9,11 @@ dies (a signal, an out-of-memory kill) ends the command with one ``error:``
 line and exit 3.  The run options may also be supplied as ``key=value``
 lines in a ``--config`` file.  Each line is read as the flag it names, placed
 before the command line's flags: argparse converts and checks it as it does
-the flag, and an explicit flag wins.  The only environment variable consulted
-is ``CYCPROJ_OUT_DIR`` (default output directory).  ``verify`` and ``sweep``
-import ``cycproj.verify`` when they run, so ``run`` and ``rate`` start without it.
+the flag, and an explicit flag wins.  The scenario flags are the keyword
+parameters of the builders in ``scenarios.SCENARIO_BUILDERS``, each typed as
+its default.  The only environment variable consulted is ``CYCPROJ_OUT_DIR``
+(default output directory).  ``verify`` and ``sweep`` import ``cycproj.verify``
+when they run, so ``run`` and ``rate`` start without it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import argparse
 import math
 import os
 import sys
+from inspect import signature
 from itertools import groupby
 
 from . import traceio
 from .engine import iterate, rate_fit, verdict
 from .projections import AmbiguousProjectionError
-from .scenarios import Scenario, build_scenario
+from .scenarios import SCENARIO_BUILDERS, Scenario, build_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,9 +39,10 @@ EXIT_NUMERICAL = 3
 # third of a loop apart, so no later point is half a loop from the next disc.
 _USAGE_ERRORS = (KeyError, ValueError, TypeError, OSError, AmbiguousProjectionError)
 
-# Scenario parameters: the type of their flag and of a swept grid value.
-_SCENARIO_PARAMS = {"epsilon": float, "alpha": float, "radius": float,
-                    "circumference": float, "theta": float, "k": int}
+# Scenario parameters in catalogue order, each typed as its builder's default:
+# the type of its flag and of a swept grid value.
+_SCENARIO_PARAMS = {name: type(param.default) for builder in SCENARIO_BUILDERS.values()
+                    for name, param in signature(builder).parameters.items()}
 
 # verify.suite_names(), spelled out so that building the parser imports no suite
 _SUITE_NAMES = ("metric", "projections", "two-set", "counterexamples", "all")
@@ -62,9 +66,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rate-window", type=int, nargs=2, metavar=("LO", "HI"),
                         help="fit log r vs log n over this index window")
     parser.add_argument("--config", help="key=value config file; flags win")
-    for name, kind in _SCENARIO_PARAMS.items():
-        parser.add_argument(f"--{name}", type=kind,
-                            help="number of sets (tripod)" if name == "k" else None)
+    for scenario, builder in SCENARIO_BUILDERS.items():
+        for name, param in signature(builder).parameters.items():
+            parser.add_argument(f"--{name}", type=_SCENARIO_PARAMS[name],
+                                help=f"{scenario} parameter (default {param.default:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ start points:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -188,13 +189,15 @@ SCENARIO_BUILDERS: Mapping[str, Callable[..., Scenario]] = MappingProxyType({
 def build_scenario(name: str, **params) -> Scenario:
     """Instantiate a scenario by catalog name.
 
-    Raises KeyError for unknown names and TypeError/ValueError for
-    parameters the builder does not accept.
+    Raises KeyError for unknown names, TypeError for a parameter the builder
+    does not take, and the builder's TypeError/ValueError for a bad value.
     """
-    try:
-        builder = SCENARIO_BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIO_BUILDERS))}"
-        ) from None
+    if name not in SCENARIO_BUILDERS:
+        raise KeyError(f"unknown scenario {name!r}; "
+                       f"available: {', '.join(sorted(SCENARIO_BUILDERS))}")
+    builder = SCENARIO_BUILDERS[name]
+    takes = inspect.signature(builder).parameters
+    unknown = [key for key in params if key not in takes]
+    if unknown:
+        raise TypeError(f"scenario {name!r} takes {', '.join(takes)}, not {', '.join(unknown)}")
     return builder(**params)

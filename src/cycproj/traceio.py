@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import numbers
-from bisect import bisect_left
 from itertools import chain
 
 import numpy as np
@@ -48,15 +47,15 @@ def write_trace_csv(trace: Trace, path) -> None:
     names = trace.space.coord_names
     blank = "," * (len(names) - 1)  # the empty coordinate cells of a row with no stored point
     scalars = [np.empty(0) if col is None else col for col in (trace.r, trace.s, trace.a, trace.b)]
-    indices, rows, j = trace.point_indices.tolist(), trace.completed + 1, 0
+    indices, rows, j = trace.point_indices, trace.completed + 1, 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["n", "r", "s", "a", "b", *names]) + "\n")
         for lo in range(0, rows, _BLOCK):
             hi = min(lo + _BLOCK, rows)
-            k = bisect_left(indices, hi, j)  # the stored points of this block are j..k-1
+            k = int(indices.searchsorted(hi))  # the stored points of this block are j..k-1
             stored = iter(_cells(np.array(trace.coords[j:k], dtype=float).ravel()))
             points = [blank] * (hi - lo)
-            for i, point in zip(indices[j:k], map(",".join, zip(*[stored] * len(names)))):
+            for i, point in zip(indices[j:k].tolist(), map(",".join, zip(*[stored] * len(names)))):
                 points[i - lo] = point
             cells = [_cells(col[lo:hi], hi - lo) for col in scalars]
             fh.write("\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells, points))) + "\n")

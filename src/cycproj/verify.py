@@ -58,12 +58,7 @@ from .projections import (
     project_segment_tree_exact,
     set_distance,
 )
-from .scenarios import (
-    build_plane_two_lines,
-    build_plane_two_sets,
-    build_tripod_counterexample,
-    build_twisted_chain,
-)
+from .scenarios import build_scenario
 from .spaces import (
     ChainPoint,
     Plane,
@@ -86,6 +81,10 @@ _PROJECTION_INPUTS = 1_000   # random points per projection target
 _TRIPOD_SAMPLES = 50         # points along each segment
 _CHAIN_SAMPLES = 20          # random points of the bottom disc
 _CHAIN_POWERS = 20           # cycle powers P^m checked, m = 1.._CHAIN_POWERS
+
+# The fixed tripod and chain every suite reads: the catalogue's defaults.
+_TRIPOD = build_scenario("tripod")
+_CHAIN = build_scenario("twisted-chain")
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,12 @@ def _chain_point(rng, chain: TwistedChain) -> ChainPoint:
 
 
 def _spaces_with_samplers():
-    tree_product = ProductSpace(StarTree.unit(3), StarTree.unit(3))
-    chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
+    # the samplers are looked up at each call, so a patched one reaches the parts
     return [
         ("plane", Plane(), _plane_point),
         ("star-tree", StarTree.unit(3), _star_point),
-        ("tree-product", tree_product, _product_point),
-        ("chain", chain, _chain_point),
+        ("tree-product", _TRIPOD.space, _product_point),
+        ("chain", _CHAIN.space, _chain_point),
     ]
 
 
@@ -246,7 +244,7 @@ def _cn_margin(seed: int, index: int) -> list[CheckResult]:
 
 
 def _chain_representatives(seed: int) -> list[CheckResult]:
-    chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
+    chain = _CHAIN.space
     rng = _Stream(seed + 4)
     worst = 0.0
     c, s = math.cos(chain.twist), math.sin(chain.twist)
@@ -314,9 +312,7 @@ def _chain_band_sampler(disc_height: float):
 def _projection_targets(rng):
     """(label, space, set, ambient sampler) tuples for the property checks."""
     plane = Plane()
-    tripod = build_tripod_counterexample(3)
-    product = tripod.space
-    chain = TwistedChain(radius=0.1, circumference=3.0, twist=1.0)
+    product = _TRIPOD.space
 
     plane_seg = Segment(_plane_point(rng), _plane_point(rng))
     random_tree_seg = Segment(
@@ -326,14 +322,14 @@ def _projection_targets(rng):
     targets = [
         ("plane-segment", plane, plane_seg, _plane_point),
         ("axis", plane, AxisLine(), _plane_point),
-        ("tripod-segment", product, tripod.sets[0], _product_point),
+        ("tripod-segment", product, _TRIPOD.sets[0], _product_point),
         ("tree-segment", product, random_tree_seg, _product_point),
     ]
     for eps in (0.25, 0.5, 1.0):
         targets.append((f"epigraph[{eps}]", plane, Epigraph(eps), _plane_point))
     for i in range(3):
-        targets.append((f"cross-disc[{i}]", chain, CrossDisc(i),
-                        _chain_band_sampler(chain.disc_heights[i])))
+        targets.append((f"cross-disc[{i}]", _CHAIN.space, CrossDisc(i),
+                        _chain_band_sampler(_CHAIN.space.disc_heights[i])))
     return targets
 
 
@@ -382,11 +378,10 @@ def _optimality(seed: int, index: int) -> tuple[float, float]:
 
 def _exact_vs_generic(seed: int) -> float:
     # one part: the three segments draw from one generator in turn
-    tripod = build_tripod_counterexample(3)
-    product = tripod.space
+    product = _TRIPOD.space
     worst = 0.0
     rng = _Stream(seed + 3)
-    for cset in tripod.sets[:3]:
+    for cset in _TRIPOD.sets:
         for _ in range(_PROJECTION_INPUTS // 2):
             x = _product_point(rng, product)
             exact = project_segment_tree_exact(product, cset, x)
@@ -450,11 +445,11 @@ def _two_set_checks(prefix: str, trace, label: str) -> list[CheckResult]:
 
 
 def suite_two_set(seed: int = 0) -> list[CheckResult]:
-    scenario = build_plane_two_sets(0.5)
+    scenario = build_scenario("plane-two-sets", epsilon=0.5)
     trace = iterate(scenario.space, scenario.sets, scenario.start(), 10_000)
     checks = _two_set_checks("two-set", trace, "plane-two-sets(0.5)")
 
-    lines = build_plane_two_lines(math.pi / 4.0)
+    lines = build_scenario("two-lines", theta=math.pi / 4.0)
     trace = iterate(lines.space, lines.sets, lines.start(), 50)
     checks += _two_set_checks("two-lines", trace, "two-lines(pi/4)")
     ratios = trace.r[1:] / trace.r[:-1]
@@ -473,9 +468,8 @@ def suite_two_set(seed: int = 0) -> list[CheckResult]:
 
 def tripod_certificates() -> list[CheckResult]:
     """Isometry, orientation, involution, and disjointness certificates."""
-    scenario = build_tripod_counterexample(3)
-    space = scenario.space
-    c1, c2, c3 = scenario.sets[:3]
+    space = _TRIPOD.space
+    c1, c2, c3 = _TRIPOD.sets
     checks: list[CheckResult] = []
 
     # P_i maps C_{i+1} onto C_i (cyclically); parameters map with slope -1.
@@ -503,7 +497,7 @@ def tripod_certificates() -> list[CheckResult]:
                               worst_slope, 1e-9, detail="parameter slope vs -1"))
 
     def cycle(x):
-        return cycle_apply(space, scenario.sets, x)[0]
+        return cycle_apply(space, _TRIPOD.sets, x)[0]
 
     # The full cycle swaps the ends of the first segment, so r_n = 1 forever.
     mid = space.geodesic(c1.start, c1.end, 0.5)
@@ -531,9 +525,8 @@ def tripod_certificates() -> list[CheckResult]:
 
 def chain_certificates() -> list[CheckResult]:
     """Rotation certificates for the twisted-chain cycle."""
-    scenario = build_twisted_chain(alpha=1.0, radius=0.1, circumference=3.0)
-    chain = scenario.space
-    alpha = scenario.params["alpha"]
+    chain = _CHAIN.space
+    alpha = chain.twist
     checks: list[CheckResult] = []
 
     worst_rot = 0.0
@@ -541,7 +534,7 @@ def chain_certificates() -> list[CheckResult]:
     c, s = math.cos(alpha), math.sin(alpha)
     for _ in range(_CHAIN_SAMPLES):
         u, v = _disc_coords(rng, chain.radius)
-        y, _ = cycle_apply(chain, scenario.sets, ChainPoint(u, v, 0.0))
+        y, _ = cycle_apply(chain, _CHAIN.sets, ChainPoint(u, v, 0.0))
         # the expected image is (u, v) rotated by alpha, at height 0
         worst_rot = max(worst_rot, math.hypot(y.u - (c * u - s * v), y.v - (s * u + c * v)),
                         abs(y.height))
@@ -551,9 +544,9 @@ def chain_certificates() -> list[CheckResult]:
 
     worst_step = 0.0
     not_stalled = 0
-    start = scenario.start("boundary")
+    start = _CHAIN.start("boundary")
     for m in range(1, _CHAIN_POWERS + 1):
-        sets_m = scenario.sets * m
+        sets_m = _CHAIN.sets * m
         trace = iterate(chain, sets_m, start, 40)
         target = 2.0 * chain.radius * abs(math.sin(m * alpha / 2.0))
         worst_step = max(worst_step, float(np.max(np.abs(trace.r - target))))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
+import inspect
 import json
 import math
 import multiprocessing
@@ -19,7 +21,7 @@ import pytest
 from cycproj import cli
 from cycproj.cli import main
 from cycproj.engine import iterate
-from cycproj.scenarios import build_scenario
+from cycproj.scenarios import SCENARIO_BUILDERS, build_scenario
 from cycproj.traceio import read_trace_csv
 from cycproj.verify import run_suite, suite_names
 
@@ -513,6 +515,41 @@ def verify_loaded_after(tmp_path, *commands: str) -> list[tuple[int, bool]]:
                          capture_output=True, text=True, env=env, cwd=tmp_path, check=True).stdout
     return [(int(code), loaded == "True") for _, code, loaded in
             (line.split() for line in out.splitlines() if line.startswith("loaded "))]
+
+
+class TestScenarioParams:
+    RUN_OPTIONS = {"help", "n", "start", "start_coords", "stride", "out", "format",
+                   "rate_window", "config"}
+
+    def test_flags_choices_and_config_keys_are_the_builders_parameters(self):
+        defaults = {name: param.default for builder in SCENARIO_BUILDERS.values()
+                    for name, param in inspect.signature(builder).parameters.items()}
+        assert all(type(default) in (int, float) for default in defaults.values())
+        typed = [(name, type(default)) for name, default in defaults.items()]
+        [commands] = [a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        flags = [(a.dest, a.type) for a in commands.choices["run"]._actions
+                 if a.option_strings and a.dest not in self.RUN_OPTIONS]
+        assert flags == typed  # in catalogue order
+        [param] = [a for a in commands.choices["sweep"]._actions if a.dest == "param"]
+        assert set(param.choices) == set(defaults)
+        assert list(cli._SCENARIO_PARAMS.items()) == typed  # the type of a grid value
+        assert set(cli._CONFIG_KEYS) - self.RUN_OPTIONS == set(defaults)
+
+    @pytest.mark.parametrize("how", ["flag", "config", "sweep"])
+    def test_a_parameter_the_scenario_does_not_take_is_refused(self, tmp_path, capsys, how):
+        message = "scenario 'tripod' takes k, not epsilon"
+        config = tmp_path / "run.cfg"
+        config.write_text("epsilon=0.5\n")
+        out = tmp_path / "out.json"
+        argv = {"flag": ["run", "tripod", "--epsilon", "0.5"],
+                "config": ["run", "tripod", "--config", str(config)],
+                "sweep": ["sweep", "tripod", "--param", "epsilon", "--values", "0.5"]}[how]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        if how == "sweep":
+            assert json.loads(out.read_text()) == [{"error": message, "grid_index": 0}]
+        else:
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestImportBoundary:

@@ -439,7 +439,8 @@ class TestAxisEpigraphKernel:
 
     def test_feet_are_the_one_point_solves_bitwise(self, monkeypatch):
         # the kernel's inline axis solve against repeated one-point solves from
-        # the same x0: the same feet, or the same error after the same feet
+        # the same x0: the same feet, or the same error after the same feet; a
+        # step cap of 1 or 2 makes both raise their step-limit error
         import cycproj.projections
 
         fallbacks = []
@@ -474,14 +475,19 @@ class TestAxisEpigraphKernel:
         starts += (10.0 ** rng.uniform([-300.0, -300.0], [300.0, 300.0], (300, 2))).tolist()
         starts.append((1e300, -1e308))
         monkeypatch.setattr(cycproj.projections, "_epigraph_foot", counted_foot)
-        errors = []
-        for eps, x0 in starts:
-            feet = run(kernel, eps, x0)
-            assert feet == run(one_point, eps, x0), (eps, x0)
-            errors.append(feet[2] and feet[2][1])
+        for max_newton in (cycproj.projections._MAX_NEWTON, 1, 2):
+            monkeypatch.setattr(cycproj.projections, "_MAX_NEWTON", max_newton)
+            errors = []
+            for eps, x0 in starts:
+                feet = run(kernel, eps, x0)
+                assert feet == run(one_point, eps, x0), (eps, x0, max_newton)
+                errors.append(feet[2] and feet[2][1])
+            assert any("one ulp of x0" in e for e in errors if e)
+            assert any("power overflowed" in e for e in errors if e)
+            # the inline solve from 1.3 at epsilon 0.25 takes more than two steps
+            limit_hit = "epigraph Newton failed to converge from (1.3, 0.0), epsilon=0.25"
+            assert (limit_hit in errors) == (max_newton <= 2)
         assert fallbacks  # some cycles have no local bracket
-        assert any("one ulp of x0" in e for e in errors if e)
-        assert any("power overflowed" in e for e in errors if e)
 
 
 class TestTwoSetDiagnostics:

@@ -165,6 +165,11 @@ class TestCatalog:
         with pytest.raises(KeyError):
             build_scenario("moebius")
 
+    def test_a_parameter_the_scenario_does_not_take(self):
+        message = "scenario 'twisted-chain' takes alpha, radius, circumference, not k, theta"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            build_scenario("twisted-chain", alpha=1.0, k=3, theta=0.5)
+
     def test_unknown_start_label(self):
         scenario = build_scenario("tripod")
         with pytest.raises(KeyError):
